@@ -204,6 +204,12 @@ def bce_loss(probs, labels) -> float:
 def initial_q_feature(critic: DenseNet, actor, observation) -> float:
     """Critic value of the start state under the policy's mean action - the
     learned difficulty signal appended to the geometric task features."""
-    action, _ = actor.act(observation, mode="mean")
-    x = np.concatenate([np.asarray(observation), action])
-    return float(critic.forward(x)[0])
+    return float(initial_q_features(critic, actor, np.asarray(observation)[None, :])[0])
+
+
+def initial_q_features(critic: DenseNet, actor, observations) -> np.ndarray:
+    """:func:`initial_q_feature` of a stack of start observations, with one
+    actor and one critic forward."""
+    observations = np.asarray(observations)
+    actions, _ = actor.sample_with_noise(observations, np.zeros((len(observations), actor.act_dim)))
+    return critic.forward(np.concatenate([observations, actions], axis=1))[:, 0]

@@ -46,10 +46,6 @@ def aabb_corners(xmin: float, ymin: float, xmax: float, ymax: float) -> np.ndarr
     return np.array([[xmax, ymax], [xmin, ymax], [xmin, ymin], [xmax, ymin]])
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
 def cast_rays(
     origins: np.ndarray,
     dirs: np.ndarray,
@@ -64,35 +60,45 @@ def cast_rays(
     segments: (S, 2, 2) endpoint pairs; may be empty.
     circle_centers / circle_radii: (C, 2) and (C,); may be empty.
 
+    Every argument may carry the same leading batch axes (radii may omit
+    them), so several scenes cast in one call: origins (B, R, 2) against
+    segments (B, S, 2, 2) and circles (B, C, 2). Each ray's result depends on
+    its own scene alone, bit for bit, whatever else is in the batch.
+
     Returns ``(distances, first_hit_is_circle)`` where distances are clipped
     to ``max_range`` (no hit reads as ``max_range``) and the mask is True iff
     the nearest hit within range is a circle.
     """
-    n = origins.shape[0]
-    seg_dist = np.full(n, np.inf)
-    if segments.shape[0] > 0:
-        a = segments[:, 0]
-        e = segments[:, 1] - segments[:, 0]
-        denom = _cross(dirs[:, None, :], e[None, :, :])
-        ao = a[None, :, :] - origins[:, None, :]
+    seg_dist = np.full(origins.shape[:-1], np.inf)
+    if segments.shape[-3] > 0:
+        # the parametric cross-product solve, one (..., S, R) plane per
+        # vector component so no temporary is strided
+        ox, oy = origins[..., None, :, 0], origins[..., None, :, 1]
+        dx, dy = dirs[..., None, :, 0], dirs[..., None, :, 1]
+        ax, ay = segments[..., :, None, 0, 0], segments[..., :, None, 0, 1]
+        ex = segments[..., :, None, 1, 0] - ax
+        ey = segments[..., :, None, 1, 1] - ay
+        denom = dx * ey - dy * ex
+        aox, aoy = ax - ox, ay - oy
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = _cross(ao, e[None, :, :]) / denom
-            s = _cross(ao, dirs[:, None, :]) / denom
+            t = (aox * ey - aoy * ex) / denom
+            s = (aox * dy - aoy * dx) / denom
         ok = (np.abs(denom) > 1e-12) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
         t = np.where(ok, t, np.inf)
-        seg_dist = t.min(axis=1)
+        seg_dist = t.min(axis=-2)
 
-    cir_dist = np.full(n, np.inf)
-    if circle_centers.shape[0] > 0:
-        oc = circle_centers[None, :, :] - origins[:, None, :]
-        proj = np.einsum("rcd,rd->rc", oc, dirs)
-        perp2 = np.einsum("rcd,rcd->rc", oc, oc) - proj**2
-        disc = circle_radii[None, :] ** 2 - perp2
+    cir_dist = np.full(origins.shape[:-1], np.inf)
+    if circle_centers.shape[-2] > 0:
+        ocx = circle_centers[..., :, None, 0] - origins[..., None, :, 0]
+        ocy = circle_centers[..., :, None, 1] - origins[..., None, :, 1]
+        proj = ocx * dirs[..., None, :, 0] + ocy * dirs[..., None, :, 1]
+        perp2 = (ocx * ocx + ocy * ocy) - proj**2
+        disc = circle_radii[..., :, None] ** 2 - perp2
         root = np.sqrt(np.maximum(disc, 0.0))
         t = proj - root
         ok = (disc >= 0.0) & (t >= 0.0)
         t = np.where(ok, t, np.inf)
-        cir_dist = t.min(axis=1)
+        cir_dist = t.min(axis=-2)
 
     first_is_circle = (cir_dist < seg_dist) & (cir_dist <= max_range)
     dist = np.minimum(np.minimum(seg_dist, cir_dist), max_range)

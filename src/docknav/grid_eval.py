@@ -25,6 +25,10 @@ SUMMARY_FIELDS = ["row", "orientation_deg", "success_rate", "valid_cells", "inva
 
 @dataclass(frozen=True)
 class GridEvalConfig:
+    """The evaluation grid. ``repeats`` episodes run per valid cell; they are
+    bit-identical replicas, since the world has no randomness and the policy
+    is deterministic (``docknav eval-grid`` acts with the mean action)."""
+
     grid_extent: float = 5.0
     grid_cell: float = 0.5
     orientations_deg: tuple[float, ...] = (0.0, 45.0, -45.0, 90.0, -90.0, 135.0, -135.0, 180.0)

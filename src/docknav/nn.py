@@ -96,10 +96,6 @@ class DenseNet:
     def in_dim(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         x = np.asarray(x, dtype=self.dtype)
         squeezed = x.ndim == 1
@@ -172,9 +168,6 @@ class DenseNet:
         clone.weights = [W.copy() for W in self.weights]
         clone.biases = [b.copy() for b in self.biases]
         return clone
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters())
 
 
 class AdamState:

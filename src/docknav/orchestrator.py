@@ -16,8 +16,10 @@ import dataclasses
 import math
 import threading
 import time
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +70,16 @@ class SnapshotChannel:
         return self._snapshot
 
 
+class Candidate(NamedTuple):
+    """A task with its curriculum features, its success prediction and its
+    t=0 (lidar, frame) scan, which the rollout reuses."""
+
+    task: world.Task
+    features: np.ndarray
+    prediction: float
+    start_scan: tuple[np.ndarray, np.ndarray]
+
+
 class Worker:
     """Rollout context: local network copies, task selection, one episode at
     a time. Runs inline (synchronous mode) or as a thread body."""
@@ -75,7 +87,10 @@ class Worker:
     def __init__(self, worker_id: int, base_seed: int, trainer: "Trainer"):
         self.worker_id = worker_id
         self.rng = np.random.default_rng(base_seed + worker_id)
-        self.trainer = trainer
+        # the trainer owns its sync worker; a strong reference back would make a
+        # cycle, and each finished trainer, replay pages included, would stay
+        # resident until the cyclic garbage collector next ran
+        self.trainer = weakref.proxy(trainer)
         t = trainer
         self.actor = Actor(t.obs_dim, t.act_dim, t.sac_config.hidden, rng=self.rng,
                            dtype=t.dtype, log_std_min=t.sac_config.log_std_min,
@@ -97,34 +112,45 @@ class Worker:
         return world.sample_task(self.rng, self.trainer.task_bounds,
                                  self.trainer.robot, self.trainer.dolly)
 
-    def _evaluate_task(self, task: world.Task):
-        """Five curriculum features (with the critic's initial-Q) and the
-        success prediction for one candidate task."""
+    def _start_observations(self, tasks: list[world.Task]):
         t = self.trainer
-        w = world.World(task.config, t.robot, t.dolly, t.step_limit, t.dtype)
-        q0 = cur.initial_q_feature(self.q1, self.actor, w.observation())
-        features = world.geometric_properties(task, q0)
-        return features, self.fpi.predict_one(features)
+        lidar, frames = world.start_scans([task.config for task in tasks], t.robot, t.dolly)
+        return lidar, frames, world.start_observations(lidar, frames, t.dtype)
 
-    def select_task(self):
-        """Returns (task, task_type, features, prediction)."""
+    def _evaluate_task(self, task: world.Task) -> Candidate:
+        """Five curriculum features (with the critic's initial-Q) and the
+        success prediction for one candidate task, one row at a time."""
+        lidar, frames, obs = self._start_observations([task])
+        q0 = cur.initial_q_feature(self.q1, self.actor, obs[0])
+        features = world.geometric_properties(task, q0)
+        return Candidate(task, features, self.fpi.predict_one(features), (lidar[0], frames[0]))
+
+    def _score_pool(self, pool: list[world.Task]) -> np.ndarray:
+        """Success predictions for a whole candidate pool: one actor, one
+        critic and one predictor forward."""
+        _, _, obs = self._start_observations(pool)
+        q0 = cur.initial_q_features(self.q1, self.actor, obs)
+        return self.fpi.predict(np.stack([world.geometric_properties(task, q)
+                                          for task, q in zip(pool, q0)]))
+
+    def select_task(self) -> tuple[Candidate, str]:
+        """The next episode's task, scored, and its task type."""
         t = self.trainer
         if t.variant != "navacl_q":
-            task = self._sample_task()
-            features, _ = self._evaluate_task(task)
-            return task, "random", features, float("nan")
+            chosen = self._evaluate_task(self._sample_task())
+            return chosen._replace(prediction=float("nan")), "random"
         pool = [self._sample_task() for _ in range(t.navacl_config.candidate_pool)]
-        mu, sigma = cur.fit_normal([self._evaluate_task(task)[1] for task in pool])
-        task, task_type, _ = cur.get_dynamic_task(
-            self._sample_task, lambda task: self._evaluate_task(task)[1],
+        mu, sigma = cur.fit_normal(self._score_pool(pool))
+        chosen, task_type, _ = cur.get_dynamic_task(
+            lambda: self._evaluate_task(self._sample_task()), lambda c: c.prediction,
             mu, sigma, t.navacl_config, self.rng,
         )
-        features, prediction = self._evaluate_task(task)
-        return task, task_type, features, prediction
+        return chosen, task_type
 
-    def rollout(self, task: world.Task):
+    def rollout(self, chosen: Candidate):
         t = self.trainer
-        w = world.World(task.config, t.robot, t.dolly, t.step_limit, t.dtype)
+        w = world.World(chosen.task.config, t.robot, t.dolly, t.step_limit, t.dtype,
+                        start_scan=chosen.start_scan)
         obs = [w.observation()]
         actions, rewards, terminals = [], [], []
         flags = None
@@ -141,11 +167,12 @@ class Worker:
 
     def produce_episode(self, snapshot: ParameterSnapshot) -> Episode:
         self._load_snapshot(snapshot)
-        task, task_type, features, prediction = self.select_task()
-        observations, actions, rewards, terminals, success = self.rollout(task)
+        chosen, task_type = self.select_task()
+        observations, actions, rewards, terminals, success = self.rollout(chosen)
         return Episode(
-            worker_id=self.worker_id, task=task, task_type=task_type, features=features,
-            fpi_prediction=prediction, observations=observations, actions=actions,
+            worker_id=self.worker_id, task=chosen.task, task_type=task_type,
+            features=chosen.features, fpi_prediction=chosen.prediction,
+            observations=observations, actions=actions,
             rewards=rewards, terminals=terminals, success=success,
             snapshot_version=snapshot.version,
         )

@@ -199,6 +199,107 @@ def observation_slices(robot: RobotSpec | None = None) -> dict[str, slice]:
     }
 
 
+def scene_segments(config: WorldConfig) -> np.ndarray:
+    """Edges of the room walls and of every obstacle box, shape (S, 2, 2)."""
+    room = geometry.aabb_corners(0.0, 0.0, config.room_width, config.room_length)
+    segs = [geometry.segments_from_corners(room)]
+    for ob in config.obstacles:
+        segs.append(geometry.segments_from_corners(geometry.aabb_corners(*ob)))
+    return np.concatenate(segs, axis=0)
+
+
+class _RayFan:
+    """Every ray one robot casts per observation, stacked in one array: the
+    front LiDAR, the rear LiDAR, then the semantic fan."""
+
+    def __init__(self, robot: RobotSpec):
+        self.max_range = robot.lidar_max_range
+        # sensors sit on the front-left and rear-right chassis corners
+        self._sensor_local = np.array(
+            [[0.5 * robot.length, 0.5 * robot.width],
+             [-0.5 * robot.length, -0.5 * robot.width]]
+        )
+        self._sensor_diag = math.atan2(0.5 * robot.width, 0.5 * robot.length)
+        n = robot.lidar_beams_per_sensor
+        self._lidar_offsets = np.linspace(-0.5 * robot.lidar_fov, 0.5 * robot.lidar_fov, n)
+        m = robot.semantic_rays
+        if m == 1:
+            self._semantic_offsets = np.zeros(1)
+        else:
+            self._semantic_offsets = np.linspace(-0.5 * robot.camera_fov, 0.5 * robot.camera_fov, m)
+        self._counts = [n, n, m]
+        self.lidar = slice(0, 2 * n)
+        self.semantic = slice(2 * n, 2 * n + m)
+
+    def rays(self, poses) -> tuple[np.ndarray, np.ndarray]:
+        """(origins, unit directions), each (len(poses), rays, 2)."""
+        yaw = np.array([p.yaw for p in poses])
+        position = np.array([[p.x, p.y] for p in poses])
+        rot = np.array([[[math.cos(p.yaw), -math.sin(p.yaw)], [math.sin(p.yaw), math.cos(p.yaw)]]
+                        for p in poses])
+        sensors = self._sensor_local @ rot.transpose(0, 2, 1) + position[:, None, :]
+        angles = np.concatenate([(yaw + self._sensor_diag)[:, None] + self._lidar_offsets,
+                                 (yaw + math.pi + self._sensor_diag)[:, None] + self._lidar_offsets,
+                                 yaw[:, None] + self._semantic_offsets], axis=1)
+        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+        origins = np.repeat(np.concatenate([sensors, position[:, None, :]], axis=1),
+                            self._counts, axis=1)
+        return origins, dirs
+
+    def frame(self, dist: np.ndarray, is_leg: np.ndarray) -> np.ndarray:
+        """Semantic rays as (..., rays, 2) of (depth in [0, 1], dolly flag)."""
+        return np.stack([dist / self.max_range, is_leg.astype(float)], axis=-1)
+
+    def split(self, dist: np.ndarray, is_leg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A cast of :meth:`rays` (any leading batch axes) as (lidar, frame)."""
+        return (dist[..., self.lidar] / self.max_range,
+                self.frame(dist[..., self.semantic], is_leg[..., self.semantic]))
+
+
+START_SCAN_CHUNK = 16  # tasks per batched cast: bounds its rays x segments temporaries
+
+
+def start_scans(configs, robot: RobotSpec | None = None,
+                dolly: DollySpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The t=0 sensing of many tasks, without building their worlds.
+
+    Returns ``(lidar, frames)`` of shapes (N, 2 * beams) and (N, rays, 2),
+    bit-identical to what ``World(config)`` casts at reset. Tasks go through
+    :func:`geometry.cast_rays` ``START_SCAN_CHUNK`` at a time, each chunk's
+    segment lists zero-padded to its longest; a zero-length segment is never
+    hit.
+    """
+    robot = robot or RobotSpec()
+    dolly = dolly or DollySpec()
+    fan = _RayFan(robot)
+    radii = np.full(4, dolly.leg_radius)
+    lidar, frames = [], []
+    for lo in range(0, len(configs), START_SCAN_CHUNK):
+        chunk = configs[lo:lo + START_SCAN_CHUNK]
+        scenes = [scene_segments(cfg) for cfg in chunk]
+        segments = np.zeros((len(chunk), max(len(seg) for seg in scenes), 2, 2))
+        for i, seg in enumerate(scenes):
+            segments[i, :len(seg)] = seg
+        origins, dirs = fan.rays([cfg.robot_start for cfg in chunk])
+        legs = np.stack([dolly.leg_centers(cfg.dolly_pose) for cfg in chunk])
+        dist, is_leg = geometry.cast_rays(origins, dirs, segments, legs, radii,
+                                          robot.lidar_max_range)
+        chunk_lidar, chunk_frames = fan.split(dist, is_leg)
+        lidar.append(chunk_lidar)
+        frames.append(chunk_frames)
+    return np.concatenate(lidar), np.concatenate(frames)
+
+
+def start_observations(lidar: np.ndarray, frames: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """The t=0 observations of :func:`start_scans` output, (N, observation_dim):
+    each frame replicated over the history, zero action and reward history.
+    Row i equals ``World(configs[i], dtype=dtype).observation()``."""
+    n = len(lidar)
+    history = np.zeros((n, HISTORY_LEN * 3))  # actions, then rewards
+    parts = [np.tile(frames.reshape(n, -1), HISTORY_LEN), lidar, history]
+    return np.concatenate(parts, axis=1).astype(dtype)
+
+
 class World:
     """One docking episode. Single-owner, deterministic, no sensor noise.
 
@@ -214,7 +315,10 @@ class World:
         step_limit: int = DEFAULT_STEP_LIMIT,
         dtype=np.float64,
         record_trajectory: bool = False,
+        start_scan: tuple[np.ndarray, np.ndarray] | None = None,
     ):
+        """``start_scan``, when given, is this config's row of
+        :func:`start_scans`; the world then skips its own t=0 cast."""
         self.config = config
         self.robot = robot or RobotSpec()
         self.dolly = dolly or DollySpec()
@@ -222,33 +326,17 @@ class World:
         self.step_limit = step_limit
         self.dtype = np.dtype(dtype)
         self.record_trajectory = record_trajectory
+        self._start_scan = start_scan
         self._build_static_geometry()
         self.reset()
 
     # -- static scene -------------------------------------------------
 
     def _build_static_geometry(self):
-        cfg = self.config
-        room = geometry.aabb_corners(0.0, 0.0, cfg.room_width, cfg.room_length)
-        segs = [geometry.segments_from_corners(room)]
-        for ob in cfg.obstacles:
-            segs.append(geometry.segments_from_corners(geometry.aabb_corners(*ob)))
-        self._segments = np.concatenate(segs, axis=0)
-        self._leg_centers = self.dolly.leg_centers(cfg.dolly_pose)
+        self._segments = scene_segments(self.config)
+        self._leg_centers = self.dolly.leg_centers(self.config.dolly_pose)
         self._leg_radii = np.full(4, self.dolly.leg_radius)
-        # sensors sit on the front-left and rear-right chassis corners
-        self._sensor_local = np.array(
-            [[0.5 * self.robot.length, 0.5 * self.robot.width],
-             [-0.5 * self.robot.length, -0.5 * self.robot.width]]
-        )
-        self._sensor_diag = math.atan2(0.5 * self.robot.width, 0.5 * self.robot.length)
-        n = self.robot.lidar_beams_per_sensor
-        self._lidar_offsets = np.linspace(-0.5 * self.robot.lidar_fov, 0.5 * self.robot.lidar_fov, n)
-        m = self.robot.semantic_rays
-        if m == 1:
-            self._semantic_offsets = np.zeros(1)
-        else:
-            self._semantic_offsets = np.linspace(-0.5 * self.robot.camera_fov, 0.5 * self.robot.camera_fov, m)
+        self._fan = _RayFan(self.robot)
 
     # -- episode lifecycle --------------------------------------------
 
@@ -257,14 +345,16 @@ class World:
         self.t = 0
         self.terminal = False
         self._last_flags = EventFlags()
-        frame = self.semantic_scan()
+        if self._start_scan is None:  # the start pose never changes: cast it once
+            self._start_scan = self._scan()
+        lidar, frame = self._start_scan
         self._frames = [frame] * HISTORY_LEN  # replicate-padded at t=0
         self._action_hist = [np.zeros(2)] * HISTORY_LEN
         self._reward_hist = [0.0] * HISTORY_LEN
         self._trajectory: list[dict] = []
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(0.0, 0.0, 0.0, EventFlags()))
-        self._obs = self._build_observation()
+        self._obs = self._build_observation(lidar)
         return self._obs
 
     def step(self, action) -> StepOutcome:
@@ -292,12 +382,13 @@ class World:
         self.terminal = goal or collision_dolly or collision_other or self.t >= self.step_limit
         self._last_flags = flags
 
-        self._frames = self._frames[1:] + [self.semantic_scan()]
+        lidar, frame = self._scan()
+        self._frames = self._frames[1:] + [frame]
         self._action_hist = self._action_hist[1:] + [np.array([v, omega])]
         self._reward_hist = self._reward_hist[1:] + [reward]
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(v, omega, reward, flags))
-        self._obs = self._build_observation()
+        self._obs = self._build_observation(lidar)
         return StepOutcome(self._obs, reward, self.terminal, flags)
 
     def _goal_reached(self) -> bool:
@@ -325,11 +416,6 @@ class World:
                     break
         return collision_dolly, collision_other
 
-    def start_state_collides(self) -> bool:
-        """True when the current pose already touches any scene geometry."""
-        dolly_hit, other_hit = self._check_collisions()
-        return dolly_hit or other_hit or self._goal_reached()
-
     def start_state_unreachable(self) -> bool:
         """True when the pose intersects walls or obstacles - a spawn that
         cannot exist. Touching a dolly leg is reachable (the episode simply
@@ -339,42 +425,32 @@ class World:
 
     # -- sensing -------------------------------------------------------
 
+    def _cast(self, rays: slice) -> tuple[np.ndarray, np.ndarray]:
+        origins, dirs = self._fan.rays([self.pose])
+        return geometry.cast_rays(origins[0, rays], dirs[0, rays], self._segments,
+                                  self._leg_centers, self._leg_radii, self.robot.lidar_max_range)
+
+    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both LiDARs and the semantic fan in one cast: (lidar, frame)."""
+        return self._fan.split(*self._cast(slice(None)))
+
     def lidar_scan(self) -> np.ndarray:
         """Both 128-beam sensors concatenated (front corner first), in [0, 1]."""
-        c, s = math.cos(self.pose.yaw), math.sin(self.pose.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        centers = self._sensor_local @ rot.T + np.array([self.pose.x, self.pose.y])
-        readings = []
-        for i, heading in enumerate((self.pose.yaw + self._sensor_diag,
-                                     self.pose.yaw + math.pi + self._sensor_diag)):
-            angles = heading + self._lidar_offsets
-            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-            origins = np.broadcast_to(centers[i], dirs.shape)
-            dist, _ = geometry.cast_rays(
-                origins, dirs, self._segments, self._leg_centers, self._leg_radii,
-                self.robot.lidar_max_range,
-            )
-            readings.append(dist / self.robot.lidar_max_range)
-        return np.concatenate(readings)
+        dist, _ = self._cast(self._fan.lidar)
+        return dist / self.robot.lidar_max_range
 
     def semantic_scan(self) -> np.ndarray:
         """Frontal rays over the camera FOV: (rays, 2) of (depth in [0,1], dolly flag)."""
-        angles = self.pose.yaw + self._semantic_offsets
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        origins = np.broadcast_to(np.array([self.pose.x, self.pose.y]), dirs.shape)
-        dist, is_leg = geometry.cast_rays(
-            origins, dirs, self._segments, self._leg_centers, self._leg_radii,
-            self.robot.lidar_max_range,
-        )
-        return np.stack([dist / self.robot.lidar_max_range, is_leg.astype(float)], axis=1)
+        dist, is_leg = self._cast(self._fan.semantic)
+        return self._fan.frame(dist, is_leg)
 
     def observation(self) -> np.ndarray:
         """Current flat observation (cached; rebuilt on reset/step)."""
         return self._obs
 
-    def _build_observation(self) -> np.ndarray:
+    def _build_observation(self, lidar: np.ndarray) -> np.ndarray:
         parts = [np.concatenate([f.ravel() for f in self._frames]),
-                 self.lidar_scan(),
+                 lidar,
                  np.concatenate(self._action_hist),
                  np.asarray(self._reward_hist)]
         return np.concatenate(parts).astype(self.dtype)
@@ -446,9 +522,6 @@ class Task:
     agent_clearance: float
     goal_clearance: float
     relative_angle: float
-
-    def geometric_features(self) -> np.ndarray:
-        return np.array([self.distance, self.agent_clearance, self.goal_clearance, self.relative_angle])
 
 
 def geometric_properties(task: Task, q0: float) -> np.ndarray:

@@ -159,3 +159,33 @@ def relative_grad_error(analytic, numeric):
         denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
         worst = max(worst, float(np.max(np.abs(a - n) / denom)))
     return worst
+
+
+def select_task_reference(worker):
+    """NavACL-Q task selection with one full World and single-row network
+    forwards per candidate, and the chosen task scored again from scratch.
+
+    Draws from ``worker.rng`` in the same order as ``Worker.select_task``.
+    Returns (task, task_type, features, prediction).
+    """
+    from docknav import curriculum, world
+
+    trainer = worker.trainer
+
+    def evaluate(task):
+        w = world.World(task.config, trainer.robot, trainer.dolly, trainer.step_limit,
+                        trainer.dtype)
+        obs = w.observation()
+        action, _ = worker.actor.act(obs, mode="mean")
+        q0 = float(worker.q1.forward(np.concatenate([obs, action]))[0])
+        features = np.array([task.distance, task.agent_clearance, task.goal_clearance,
+                             task.relative_angle, q0])
+        return features, worker.fpi.predict_one(features)
+
+    config = trainer.navacl_config
+    pool = [worker._sample_task() for _ in range(config.candidate_pool)]
+    mu, sigma = curriculum.fit_normal([evaluate(task)[1] for task in pool])
+    task, task_type, _ = curriculum.get_dynamic_task(
+        worker._sample_task, lambda task: evaluate(task)[1], mu, sigma, config, worker.rng)
+    features, prediction = evaluate(task)
+    return task, task_type, features, prediction

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,11 +9,14 @@ from docknav.nn import CheckpointError
 from docknav.orchestrator import (
     ParameterSnapshot,
     Trainer,
+    Worker,
     actor_from_checkpoint,
     restore_checkpoint,
     save_checkpoint,
 )
 from docknav.world import DollySpec, RobotSpec
+
+from _oracles import select_task_reference
 
 TINY_ROBOT = RobotSpec(lidar_beams_per_sensor=8, semantic_rays=4)
 
@@ -53,8 +59,6 @@ def test_sync_mode_bit_reproducible(tmp_path):
 
 
 def test_single_worker_episode_reproducible():
-    from docknav.orchestrator import Worker
-
     episodes = []
     for _ in range(2):
         trainer = make_trainer()
@@ -75,6 +79,37 @@ def test_sync_alternation_counters():
     # below one batch
     assert trainer.learner.n_updates + trainer.pending_updates == 8 * 3
     assert trainer.learner.n_updates > 0
+
+
+# -- curriculum scoring ---------------------------------------------------------
+
+
+def test_pool_scores_match_single_row_evaluation():
+    trainer = make_trainer(dtype="float32", obstacle_count_max=4)
+    worker = Worker(0, trainer.seed, trainer)
+    pool = [worker._sample_task() for _ in range(40)]
+    batched = worker._score_pool(pool)
+    single = np.array([worker._evaluate_task(task).prediction for task in pool])
+    assert batched.shape == (40,)
+    assert np.max(np.abs(batched - single)) <= 1e-6
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_select_task_matches_per_task_reference(dtype):
+    trainer = make_trainer(dtype=dtype, candidate_pool=100)
+    fast = Worker(0, 7, trainer)
+    reference = Worker(0, 7, trainer)
+    types = set()
+    for _ in range(20):
+        chosen, task_type = fast.select_task()
+        task, ref_type, features, prediction = select_task_reference(reference)
+        assert chosen.task == task
+        assert task_type == ref_type
+        assert np.array_equal(chosen.features, features)
+        assert chosen.prediction == prediction
+        types.add(task_type)
+    assert types == {"easy", "frontier", "random"}
+    assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
 
 
 # -- distribution -----------------------------------------------------------------
@@ -110,6 +145,20 @@ def test_snapshot_versions_non_decreasing_per_worker(tmp_path):
         per_worker.setdefault(int(parts[1]), []).append(int(parts[6]))
     for versions in per_worker.values():
         assert versions == sorted(versions)
+
+
+def test_finished_trainer_freed_without_cycle_collection(tmp_path):
+    # a process that trains one trainer after another (one per seed) must not
+    # keep the finished ones, replay included, until a full collection
+    gc.disable()
+    try:
+        trainer = make_trainer(out_dir=tmp_path / "run", episode_budget=2, batch_size=8)
+        trainer.train()
+        ref = weakref.ref(trainer)
+        del trainer
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_snapshots_are_immutable():

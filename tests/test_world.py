@@ -1,11 +1,16 @@
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docknav import geometry
+from docknav.config import parse_config
 from docknav.world import (
+    HISTORY_LEN,
+    START_SCAN_CHUNK,
     ACTION_DURATION,
     DollySpec,
     EventFlags,
@@ -23,6 +28,8 @@ from docknav.world import (
     observation_dim,
     observation_slices,
     sample_task,
+    start_observations,
+    start_scans,
     task_from_config,
 )
 
@@ -34,6 +41,16 @@ from _oracles import (
     scene_primitives,
     semantic_ray_geometry,
 )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def config_tasks(name, n, seed, **bounds):
+    """``n`` tasks drawn from the task bounds of ``configs/<name>``."""
+    task_bounds = replace(parse_config(CONFIGS / name).to_task_bounds(), **bounds)
+    rng = np.random.default_rng(seed)
+    return [sample_task(rng, task_bounds) for _ in range(n)]
 
 
 def empty_room(width=10.0, length=10.0, dolly=Pose(5.0, 8.0, math.pi / 2),
@@ -320,6 +337,55 @@ def test_lidar_matches_bruteforce_oracle_on_random_scenes():
         scan = w.semantic_scan()
         assert np.max(np.abs(scan[:, 0] * 6.0 - exp_d)) < 1e-9
         assert np.array_equal(scan[:, 1].astype(bool), exp_f)
+
+
+@pytest.mark.parametrize("name", ["desk_nav.ini", "desk_nav_obstacles.ini"])
+def test_fused_scan_equals_per_sensor_scans(name):
+    # step() and reset() cast both LiDARs and the semantic fan in one call;
+    # the float64 observation carries that cast's values unrounded
+    sl = observation_slices()
+    actions = np.random.default_rng(4).uniform(-1, 1, size=(25, 2))
+    for task in config_tasks(name, 12, seed=21):
+        w = World(task.config)
+        for a in [None, *actions]:
+            if a is not None:
+                if w.terminal:
+                    break
+                w.step(a)
+            obs = w.observation()
+            newest_frame = obs[sl["semantic"]].reshape(HISTORY_LEN, -1)[-1]
+            assert np.array_equal(obs[sl["lidar"]], w.lidar_scan())
+            assert np.array_equal(newest_frame, w.semantic_scan().ravel())
+
+
+@pytest.mark.parametrize("name", ["desk_nav.ini", "desk_nav_obstacles.ini"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_start_observations_equal_world_reset(name, dtype):
+    # 0 to 4 obstacles per task: every chunk pads segment lists of mixed length
+    tasks = config_tasks(name, 2 * START_SCAN_CHUNK + 5, seed=8, obstacle_count=(0, 4))
+    configs = [task.config for task in tasks]
+    assert len({len(cfg.obstacles) for cfg in configs}) == 5
+    lidar, frames = start_scans(configs)
+    batched = start_observations(lidar, frames, dtype)
+    for i, cfg in enumerate(configs):
+        w = World(cfg, dtype=dtype)
+        assert batched[i].dtype == w.observation().dtype
+        assert np.array_equal(batched[i], w.observation())
+        assert np.array_equal(lidar[i], w.lidar_scan())
+        assert np.array_equal(frames[i], w.semantic_scan())
+    one_lidar, one_frames = start_scans(configs[-1:])
+    assert np.array_equal(start_observations(one_lidar, one_frames, dtype)[0], batched[-1])
+
+
+def test_world_reuses_a_given_start_scan():
+    cfg = config_tasks("desk_nav_obstacles.ini", 1, seed=2)[0].config
+    lidar, frames = start_scans([cfg])
+    reused = World(cfg, start_scan=(lidar[0], frames[0]))
+    fresh = World(cfg)
+    assert np.array_equal(reused.observation(), fresh.observation())
+    for a in ((0.4, 0.2), (0.6, -0.3)):
+        assert np.array_equal(reused.step(a).observation, fresh.step(a).observation)
+    assert np.array_equal(reused.reset(), fresh.reset())
 
 
 # -- task sampling ---------------------------------------------------------
