@@ -66,9 +66,13 @@ class Tape:
 
 @dataclass
 class Gradients:
-    weights: list
-    biases: list
-    wrt_input: np.ndarray
+    """Result of :meth:`DenseNet.backward`. A field is ``None`` when the pass
+    was told to skip it: ``weights`` and ``biases`` with ``params=False``,
+    ``wrt_input`` with ``wrt_input=False``."""
+
+    weights: list[np.ndarray] | None
+    biases: list[np.ndarray] | None
+    wrt_input: np.ndarray | None
 
 
 class DenseNet:
@@ -124,24 +128,32 @@ class DenseNet:
             outs.append(x)
         return (x[0] if squeezed else x), Tape(inputs, pres, outs, squeezed)
 
-    def backward(self, tape: Tape, out_adjoint, skip_last_activation: bool = False) -> Gradients:
+    def backward(self, tape: Tape, out_adjoint, skip_last_activation: bool = False,
+                 params: bool = True, wrt_input: bool = True) -> Gradients:
         """Reverse pass for a recorded forward. ``out_adjoint`` is dLoss/dOutput
         (or dLoss/dLogit with ``skip_last_activation``, which folds losses like
-        sigmoid+BCE into a numerically safe form)."""
+        sigmoid+BCE into a numerically safe form).
+
+        ``params=False`` skips the weight and bias gradients and
+        ``wrt_input=False`` the input gradient; a skipped field comes back as
+        ``None``. The gradients that are computed are the same bits either way.
+        """
         g = np.asarray(out_adjoint, dtype=self.dtype)
         if tape.squeezed and g.ndim == 1:
             g = g[None, :]
-        d_weights = [None] * len(self.weights)
-        d_biases = [None] * len(self.biases)
+        d_weights = [None] * len(self.weights) if params else None
+        d_biases = [None] * len(self.biases) if params else None
         last = len(self.weights) - 1
         for l in range(last, -1, -1):
             if not (l == last and skip_last_activation):
                 g = _backprop_activation(self.activations[l], g, tape.pre[l], tape.outputs[l])
-            d_weights[l] = tape.inputs[l].T @ g
-            d_biases[l] = g.sum(axis=0)
-            g = g @ self.weights[l].T
-        wrt_input = g[0] if tape.squeezed else g
-        return Gradients(d_weights, d_biases, wrt_input)
+            if params:
+                d_weights[l] = tape.inputs[l].T @ g
+                d_biases[l] = g.sum(axis=0)
+            if l or wrt_input:  # at layer 0 this product is the input gradient
+                g = g @ self.weights[l].T
+        d_input = (g[0] if tape.squeezed else g) if wrt_input else None
+        return Gradients(d_weights, d_biases, d_input)
 
     # -- parameter plumbing -------------------------------------------
 
@@ -280,11 +292,17 @@ def net_meta(net: DenseNet) -> dict:
             "dtype": net.dtype.name}
 
 
-def net_from_arrays(prefix: str, meta: dict, arrays: dict[str, np.ndarray]) -> DenseNet:
-    net = DenseNet(meta["layer_sizes"], meta["activations"], dtype=np.dtype(meta["dtype"]))
+def load_net_arrays(net: DenseNet, prefix: str, arrays: dict[str, np.ndarray]) -> DenseNet:
+    """Overwrite ``net``'s parameters with the ``{prefix}.W{i}``/``{prefix}.b{i}``
+    arrays written by :func:`net_to_arrays`, cast to the network's dtype."""
     params = []
     for i in range(len(net.weights)):
         params.extend((arrays[f"{prefix}.W{i}"].astype(net.dtype),
                        arrays[f"{prefix}.b{i}"].astype(net.dtype)))
     net.set_parameters(params)
     return net
+
+
+def net_from_arrays(prefix: str, meta: dict, arrays: dict[str, np.ndarray]) -> DenseNet:
+    net = DenseNet(meta["layer_sizes"], meta["activations"], dtype=np.dtype(meta["dtype"]))
+    return load_net_arrays(net, prefix, arrays)

@@ -363,6 +363,7 @@ class Trainer:
         for t in threads:
             t.start()
         start = time.monotonic()
+        timed_out = False
         try:
             while self.episodes_received < stop_at:
                 got = False
@@ -381,12 +382,17 @@ class Trainer:
                     self._publish_snapshot()
                     self._maybe_periodic_checkpoint()
                 if self._wall_clock_exceeded(start):
+                    timed_out = True
                     break
         finally:
             stop.set()
             queue.close()
             for t in threads:
                 t.join(timeout=10.0)
+        # the loop ingests faster than it updates; pay what the received
+        # episodes are owed, unless the run is out of wall-clock time
+        if not timed_out:
+            self._run_owed_updates()
 
     def _wall_clock_exceeded(self, start: float) -> bool:
         limit = self.config.wall_clock_limit
@@ -500,11 +506,7 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     for prefix, net in (("actor", learner.actor.net), ("q1", learner.critics.q1),
                         ("q2", learner.critics.q2), ("tq1", learner.critics.target_q1),
                         ("tq2", learner.critics.target_q2), ("fpi", trainer.fpi.net)):
-        params = []
-        for i in range(len(net.weights)):
-            params.extend((arrays[f"{prefix}.W{i}"].astype(net.dtype),
-                           arrays[f"{prefix}.b{i}"].astype(net.dtype)))
-        net.set_parameters(params)
+        nn.load_net_arrays(net, prefix, arrays)
     learner._alpha_param[0][...] = arrays["log_alpha"]
     learner.log_alpha = float(arrays["log_alpha"][0])
     for prefix, st in (("adam_actor", learner.adam_actor), ("adam_q1", learner.adam_q1),
@@ -524,8 +526,7 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         replay.rewards[:n] = arrays["replay.rewards"]
         replay.terminals[:n] = arrays["replay.terminals"].astype(bool)
         replay.worker_ids[:n] = arrays["replay.worker_ids"].astype(np.int32)
-        for i in range(n):
-            replay.tree.set(i, float(arrays["replay.priorities"][i]))
+        replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
     replay.size = n
     replay.cursor = int(meta["replay.cursor"])
     replay.inserted_total = int(meta["replay.inserted_total"])
@@ -560,9 +561,5 @@ def actor_from_checkpoint(path, dtype=np.float32) -> Actor:
     obs_dim, act_dim = int(layers[0]), int(layers[-1]) // 2
     actor = Actor(obs_dim, act_dim, tuple(int(h) for h in layers[1:-1]),
                   rng=np.random.default_rng(0), dtype=dtype)
-    params = []
-    for i in range(len(actor.net.weights)):
-        params.extend((arrays[f"actor.W{i}"].astype(actor.net.dtype),
-                       arrays[f"actor.b{i}"].astype(actor.net.dtype)))
-    actor.net.set_parameters(params)
+    nn.load_net_arrays(actor.net, "actor", arrays)
     return actor

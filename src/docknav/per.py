@@ -83,6 +83,8 @@ class SumTree:
         nodes = self.capacity - 1 + indices
         self.nodes[nodes] = priorities
         self.node_max[nodes] = priorities
+        if self.capacity == 1:
+            return  # the only leaf is the root
         parents = np.unique((nodes - 1) // 2)
         while True:
             left = 2 * parents + 1

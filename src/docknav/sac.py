@@ -112,7 +112,9 @@ class CriticPair:
         self.target_q2.set_parameters(self.q2.parameters())
 
     def min_target_q(self, obs, act):
-        x = np.concatenate([obs, act], axis=1)
+        # the networks cast their input to their dtype anyway; joining float32
+        # obs to float64 actions first would build a float64 copy to cast back
+        x = np.concatenate([obs, np.asarray(act, dtype=self.target_q1.dtype)], axis=1)
         return np.minimum(self.target_q1.forward(x)[:, 0], self.target_q2.forward(x)[:, 0])
 
 
@@ -143,8 +145,8 @@ def critic_losses(critics: CriticPair, obs, act, targets, weights):
     e1 = v1[:, 0] - targets
     e2 = v2[:, 0] - targets
     loss = float(np.mean(weights * 0.5 * e1**2) + np.mean(weights * 0.5 * e2**2))
-    g1 = critics.q1.backward(tape1, (weights * e1 / batch)[:, None])
-    g2 = critics.q2.backward(tape2, (weights * e2 / batch)[:, None])
+    g1 = critics.q1.backward(tape1, (weights * e1 / batch)[:, None], wrt_input=False)
+    g2 = critics.q2.backward(tape2, (weights * e2 / batch)[:, None], wrt_input=False)
     return loss, g1, g2, np.abs(e1)
 
 
@@ -165,7 +167,7 @@ def actor_loss_and_grads(actor: Actor, critics: CriticPair, obs, noise, alpha: f
     logp = (-0.5 * LOG_2PI - log_std - 0.5 * noise**2).sum(axis=1)
     logp -= np.log(one_m_a2 + actor.tanh_eps).sum(axis=1)
 
-    x = np.concatenate([obs, a], axis=1)
+    x = np.concatenate([obs, a.astype(critics.q1.dtype)], axis=1)
     v1, tape1 = critics.q1.forward_tape(x)
     v2, tape2 = critics.q2.forward_tape(x)
     q1v, q2v = v1[:, 0], v2[:, 0]
@@ -173,17 +175,19 @@ def actor_loss_and_grads(actor: Actor, critics: CriticPair, obs, noise, alpha: f
     qmin = np.where(use1, q1v, q2v)
     loss = float(np.mean(alpha * logp - qmin))
 
-    # dL/da through the selected critic (adjoint -1/B on the min branch)
+    # dL/da through the selected critic (adjoint -1/B on the min branch). Only
+    # the input gradient is needed; it stays full width, because a product with
+    # just the action rows of the first layer rounds differently.
     adj1 = (-use1.astype(x.dtype) / batch)[:, None]
     adj2 = (-(~use1).astype(x.dtype) / batch)[:, None]
-    dl_da = (critics.q1.backward(tape1, adj1).wrt_input[:, actor.obs_dim :]
-             + critics.q2.backward(tape2, adj2).wrt_input[:, actor.obs_dim :])
+    dl_da = (critics.q1.backward(tape1, adj1, params=False).wrt_input[:, actor.obs_dim :]
+             + critics.q2.backward(tape2, adj2, params=False).wrt_input[:, actor.obs_dim :])
 
     g_tanh = 2.0 * a * one_m_a2 / (one_m_a2 + actor.tanh_eps)  # d(-log(1-a^2+eps))/du
     d_mu = (alpha / batch) * g_tanh + dl_da * one_m_a2
     d_ls = (alpha / batch) * (-1.0 + g_tanh * sigma * noise) + dl_da * one_m_a2 * sigma * noise
     adjoint = np.concatenate([d_mu, d_ls * gate], axis=1)
-    grads = actor.net.backward(tape, adjoint)
+    grads = actor.net.backward(tape, adjoint, wrt_input=False)
     return loss, grads, logp
 
 

@@ -189,3 +189,97 @@ def select_task_reference(worker):
         worker._sample_task, lambda task: evaluate(task)[1], mu, sigma, config, worker.rng)
     features, prediction = evaluate(task)
     return task, task_type, features, prediction
+
+
+def _full_backward(net, tape, out_adjoint):
+    """Reverse pass that always computes every parameter gradient and the
+    input gradient (the network backward before it could skip either)."""
+    from docknav.nn import _backprop_activation
+
+    g = np.asarray(out_adjoint, dtype=net.dtype)
+    d_weights = [None] * len(net.weights)
+    d_biases = [None] * len(net.biases)
+    for l in range(len(net.weights) - 1, -1, -1):
+        g = _backprop_activation(net.activations[l], g, tape.pre[l], tape.outputs[l])
+        d_weights[l] = tape.inputs[l].T @ g
+        d_biases[l] = g.sum(axis=0)
+        g = g @ net.weights[l].T
+    return d_weights, d_biases, g
+
+
+def _grads_list(d_weights, d_biases):
+    out = []
+    for dW, db in zip(d_weights, d_biases):
+        out.extend((dW, db))
+    return out
+
+
+def sac_update_reference(learner, obs, act, rewards, terminals, next_obs, weights, rng):
+    """One ``SacLearner.update`` as a frozen sequence: full backward passes
+    whose unused gradients are thrown away, and sampled actions joined to the
+    observations in float64 before the critics cast them to their dtype.
+
+    Mutates ``learner`` like ``update`` and returns (|td error|, metrics).
+    """
+    from docknav.nn import adam_step
+    from docknav.sac import LOG_2PI
+
+    actor, critics, cfg = learner.actor, learner.critics, learner.config
+
+    # TD target
+    alpha = math.exp(learner.log_alpha)
+    rewards = np.asarray(rewards, dtype=np.float64)
+    terminals = np.asarray(terminals, dtype=bool)
+    noise = rng.standard_normal((len(rewards), actor.act_dim))
+    next_a, next_logp = actor.sample_with_noise(next_obs, noise)
+    x = np.concatenate([next_obs, next_a], axis=1)
+    min_q = np.minimum(critics.target_q1.forward(x)[:, 0], critics.target_q2.forward(x)[:, 0])
+    targets = np.where(terminals, rewards, rewards + cfg.gamma * (min_q - alpha * next_logp))
+
+    # critic step
+    x = np.concatenate([obs, act], axis=1)
+    weights = np.asarray(weights)
+    batch = len(targets)
+    v1, tape1 = critics.q1.forward_tape(x)
+    v2, tape2 = critics.q2.forward_tape(x)
+    e1 = v1[:, 0] - targets
+    e2 = v2[:, 0] - targets
+    closs = float(np.mean(weights * 0.5 * e1**2) + np.mean(weights * 0.5 * e2**2))
+    dw1, db1, _ = _full_backward(critics.q1, tape1, (weights * e1 / batch)[:, None])
+    dw2, db2, _ = _full_backward(critics.q2, tape2, (weights * e2 / batch)[:, None])
+    adam_step(critics.q1.parameters(), _grads_list(dw1, db1), learner.adam_q1)
+    adam_step(critics.q2.parameters(), _grads_list(dw2, db2), learner.adam_q2)
+
+    # actor step
+    noise = rng.standard_normal((len(obs), actor.act_dim))
+    mu, log_std, gate, tape = actor.dist_params(obs, tape=True)
+    sigma = np.exp(log_std)
+    a = np.tanh(mu + sigma * noise)
+    one_m_a2 = 1.0 - a**2
+    logp = (-0.5 * LOG_2PI - log_std - 0.5 * noise**2).sum(axis=1)
+    logp -= np.log(one_m_a2 + actor.tanh_eps).sum(axis=1)
+    x = np.concatenate([obs, a], axis=1)
+    v1, tape1 = critics.q1.forward_tape(x)
+    v2, tape2 = critics.q2.forward_tape(x)
+    use1 = v1[:, 0] <= v2[:, 0]
+    aloss = float(np.mean(alpha * logp - np.where(use1, v1[:, 0], v2[:, 0])))
+    adj1 = (-use1.astype(x.dtype) / batch)[:, None]
+    adj2 = (-(~use1).astype(x.dtype) / batch)[:, None]
+    dl_da = (_full_backward(critics.q1, tape1, adj1)[2][:, actor.obs_dim :]
+             + _full_backward(critics.q2, tape2, adj2)[2][:, actor.obs_dim :])
+    g_tanh = 2.0 * a * one_m_a2 / (one_m_a2 + actor.tanh_eps)
+    d_mu = (alpha / batch) * g_tanh + dl_da * one_m_a2
+    d_ls = (alpha / batch) * (-1.0 + g_tanh * sigma * noise) + dl_da * one_m_a2 * sigma * noise
+    dwa, dba, _ = _full_backward(actor.net, tape, np.concatenate([d_mu, d_ls * gate], axis=1))
+    adam_step(actor.net.parameters(), _grads_list(dwa, dba), learner.adam_actor)
+
+    # temperature step and the periodic hard copy
+    tloss = float(np.mean(-math.exp(learner.log_alpha) * (logp + learner.target_entropy)))
+    adam_step(learner._alpha_param, [np.array([tloss])], learner.adam_alpha)
+    learner.log_alpha = float(learner._alpha_param[0][0])
+    learner.n_updates += 1
+    if learner.n_updates % cfg.target_update_interval == 0:
+        critics.hard_update()
+    metrics = {"critic_loss": closs, "actor_loss": aloss, "alpha_loss": tloss,
+               "alpha": math.exp(learner.log_alpha), "mean_log_prob": float(logp.mean())}
+    return np.abs(e1), metrics

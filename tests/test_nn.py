@@ -103,6 +103,25 @@ def test_gradients_match_finite_differences():
         assert relative_grad_error(net_grads_list(grads), numeric) <= 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("skip_last", [False, True])
+def test_backward_switches_skip_only_their_fields(dtype, skip_last):
+    rng = np.random.default_rng(10)
+    net = DenseNet([6, 32, 16, 2], ["relu", "tanh", "sigmoid"], rng=rng, dtype=dtype)
+    for x in (rng.normal(size=(9, 6)), rng.normal(size=6)):  # batch and squeezed
+        out, tape = net.forward_tape(x)
+        adjoint = rng.normal(size=out.shape)
+        full = net.backward(tape, adjoint, skip_last_activation=skip_last)
+        no_params = net.backward(tape, adjoint, skip_last_activation=skip_last, params=False)
+        no_input = net.backward(tape, adjoint, skip_last_activation=skip_last, wrt_input=False)
+        assert no_params.weights is None and no_params.biases is None
+        assert no_input.wrt_input is None
+        assert no_params.wrt_input.dtype == full.wrt_input.dtype
+        assert no_params.wrt_input.tobytes() == full.wrt_input.tobytes()
+        for a, b in zip(net_grads_list(no_input), net_grads_list(full), strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     net = DenseNet([3, 5, 1], ["relu", "identity"], rng=rng)

@@ -133,6 +133,15 @@ def test_async_workers_all_deliver_and_counts_conserved(tmp_path):
     assert {int(r[1]) for r in rows} == {0, 1, 2, 3}
 
 
+def test_async_training_pays_update_debt(tmp_path):
+    trainer = make_trainer(out_dir=tmp_path / "debt", workers=2, episode_budget=8,
+                           updates_per_episode=4, batch_size=8)
+    trainer.train()
+    assert len(trainer.replay) >= trainer.sac_config.batch_size
+    assert trainer.learner.n_updates == trainer.episodes_received * 4
+    assert trainer.pending_updates == 0.0
+
+
 def test_snapshot_versions_non_decreasing_per_worker(tmp_path):
     out = tmp_path / "versions"
     trainer = make_trainer(out_dir=out, workers=3, episode_budget=18,
@@ -213,6 +222,19 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert restored.episodes_received == trainer.episodes_received
     assert len(restored.replay) == len(trainer.replay)
     assert np.array_equal(restored.replay.tree.nodes, trainer.replay.tree.nodes)
+
+
+def test_checkpoint_restores_whole_sum_tree(tmp_path):
+    # a partly filled replay: restore rebuilds every internal sum and max
+    trainer = make_trainer(episode_budget=3, batch_size=8)
+    trainer.train()
+    tree = trainer.replay.tree
+    assert 0 < len(trainer.replay) < tree.capacity
+    path = tmp_path / "tree.ckpt"
+    save_checkpoint(trainer, path)
+    restored = restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8)).replay.tree
+    assert restored.nodes.tobytes() == tree.nodes.tobytes()
+    assert restored.node_max.tobytes() == tree.node_max.tobytes()
 
 
 def test_restore_then_updates_matches_uninterrupted(tmp_path):

@@ -83,6 +83,18 @@ def test_root_sum_invariant_after_mutations():
         assert abs(tree.nodes[i] - (tree.nodes[2 * i + 1] + tree.nodes[2 * i + 2])) < 1e-9
 
 
+@pytest.mark.parametrize("capacity,n", [(1, 1), (2, 1), (64, 37), (64, 64)])
+def test_set_many_prefix_equals_sequential_sets(capacity, n):
+    # checkpoint restore writes the first n leaves in one call
+    priorities = np.random.default_rng(capacity + n).uniform(0.0, 5.0, size=n)
+    one_by_one, batched = SumTree(capacity), SumTree(capacity)
+    for i, p in enumerate(priorities):
+        one_by_one.set(i, float(p))
+    batched.set_many(np.arange(n), priorities)
+    assert np.array_equal(batched.nodes, one_by_one.nodes)
+    assert np.array_equal(batched.node_max, one_by_one.node_max)
+
+
 def test_max_leaf_tracks_current_maximum():
     tree = SumTree(8)
     tree.set(0, 5.0)

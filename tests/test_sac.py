@@ -15,7 +15,7 @@ from docknav.sac import (
     td_target,
 )
 
-from _oracles import finite_difference_grads, relative_grad_error
+from _oracles import finite_difference_grads, relative_grad_error, sac_update_reference
 
 OBS_DIM, ACT_DIM = 5, 2
 
@@ -303,3 +303,47 @@ def test_learner_update_deterministic():
         results.append([p.copy() for p in learner.actor.net.parameters()])
     for a, b in zip(*results):
         assert np.array_equal(a, b)
+
+
+def _learner_state(learner):
+    """Every array and counter an update writes, as bytes."""
+    nets = (learner.actor.net, learner.critics.q1, learner.critics.q2,
+            learner.critics.target_q1, learner.critics.target_q2)
+    arrays = [p for net in nets for p in net.parameters()]
+    optimizers = (learner.adam_actor, learner.adam_q1, learner.adam_q2, learner.adam_alpha)
+    for st in optimizers:
+        arrays.extend(st.m + st.v)
+    return ([(a.dtype.str, a.shape, a.tobytes()) for a in arrays],
+            [st.step_count for st in optimizers],
+            float.hex(learner.log_alpha), learner._alpha_param[0].tobytes(), learner.n_updates)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_learner_update_bitwise_equals_reference(dtype):
+    # a batch size that is not a power of two, so the 1/B adjoints round; a
+    # hidden width at which BLAS rounds a narrower product differently
+    obs_dim, batch, n_updates = 64, 40, 32
+    # 32 updates cross the hard-copy interval three times
+    cfg = SacConfig(hidden=(128, 128), batch_size=batch, target_update_interval=10)
+    learner = SacLearner(obs_dim, ACT_DIM, cfg, np.random.default_rng(21), dtype=dtype)
+    reference = SacLearner(obs_dim, ACT_DIM, cfg, np.random.default_rng(21), dtype=dtype)
+    data = np.random.default_rng(22)
+    rng, ref_rng = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(n_updates):
+        # dtypes as the replay buffer hands them out
+        obs = data.normal(size=(batch, obs_dim)).astype(dtype)
+        act = data.uniform(-1.0, 1.0, size=(batch, ACT_DIM)).astype(dtype)
+        rew = data.normal(size=batch)
+        term = data.uniform(size=batch) < 0.2
+        nxt = data.normal(size=(batch, obs_dim)).astype(dtype)
+        w = data.uniform(0.1, 1.0, size=batch)
+        td, metrics = learner.update(obs, act, rew, term, nxt, w, rng)
+        td_ref, metrics_ref = sac_update_reference(reference, obs, act, rew, term, nxt, w,
+                                                   ref_rng)
+        assert (td.dtype, td.tobytes()) == (td_ref.dtype, td_ref.tobytes())
+        assert {k: float.hex(v) for k, v in metrics.items()} == \
+            {k: float.hex(v) for k, v in metrics_ref.items()}
+    assert _learner_state(learner) == _learner_state(reference)
+    # the critics moved on after the last hard copy, so the targets differ
+    assert not np.array_equal(learner.critics.q1.weights[0], learner.critics.target_q1.weights[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
