@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
 
 CHECKPOINT_MAGIC = b"DNCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class GradientError(RuntimeError):
@@ -225,58 +226,128 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 
 # -- checkpoint container ------------------------------------------------
 #
-# Layout: magic, format version, little-endian uint32 header length, JSON
-# header (array names, shapes, layer-size metadata, user metadata), raw
-# little-endian float64 array payloads in header order, SHA-256 of everything
-# before the digest.
+# Layout: magic, little-endian uint32 header length, JSON header (format
+# version, user metadata and, per array, its name, dtype and shape), each
+# array's raw little-endian bytes in its own dtype in header order, SHA-256
+# of everything before the digest. Arrays are streamed to and from the file:
+# neither side builds the whole payload in memory.
+
+_DIGEST_SIZE = 32
+_READ_CHUNK = 1 << 20
+_PREAMBLE = len(CHECKPOINT_MAGIC) + 4
+
+
+def _checked_dtype(dtype) -> np.dtype:
+    """``dtype`` if it is a numeric little-endian (or byte-sized) scalar type;
+    the container stores nothing else."""
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "biuf" or dtype.str[0] not in "<|":
+        raise TypeError(f"unsupported checkpoint dtype {dtype.str}")
+    return dtype
+
+
+def _byte_view(arr: np.ndarray) -> memoryview:
+    """The bytes of a C-contiguous array, without a copy."""
+    return memoryview(arr.reshape(-1).view(np.uint8))
 
 
 def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     entries = []
-    payload = bytearray()
+    datas = []
     for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype="<f8")
-        entries.append({"name": name, "shape": list(arr.shape)})
-        payload.extend(data.tobytes())
+        dtype = _checked_dtype(np.asarray(arr).dtype.newbyteorder("<"))
+        data = np.asarray(arr, dtype=dtype, order="C")
+        entries.append({"name": name, "dtype": dtype.str, "shape": list(data.shape)})
+        datas.append(data)
     header = json.dumps({"version": CHECKPOINT_VERSION, "meta": meta, "arrays": entries}).encode()
-    blob = bytearray()
-    blob.extend(CHECKPOINT_MAGIC)
-    blob.extend(len(header).to_bytes(4, "little"))
-    blob.extend(header)
-    blob.extend(payload)
-    blob.extend(hashlib.sha256(bytes(blob)).digest())
+    digest = hashlib.sha256()
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(blob))
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in (CHECKPOINT_MAGIC, len(header).to_bytes(4, "little"), header,
+                          *map(_byte_view, datas)):
+                digest.update(chunk)
+                fh.write(chunk)
+            fh.write(digest.digest())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def read_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < len(CHECKPOINT_MAGIC) + 4 + 32 or blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+def _read_exact(fh, view: memoryview, path) -> None:
+    if fh.readinto(view) != len(view):
+        raise CheckpointError(f"{path}: checkpoint file truncated while reading")
+
+
+def _verify_digest(fh, size: int, path) -> None:
+    """Stream everything before the digest through one fixed buffer."""
+    digest = hashlib.sha256()
+    buf = memoryview(bytearray(_READ_CHUNK))
+    left = size - _DIGEST_SIZE
+    while left:
+        chunk = buf[: min(left, _READ_CHUNK)]
+        _read_exact(fh, chunk, path)
+        digest.update(chunk)
+        left -= len(chunk)
+    if fh.read(_DIGEST_SIZE) != digest.digest():
         raise CheckpointError(f"{path}: checksum mismatch")
-    off = len(CHECKPOINT_MAGIC)
-    hlen = int.from_bytes(body[off : off + 4], "little")
-    off += 4
-    header = json.loads(body[off : off + hlen].decode())
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    off += hlen
-    arrays = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=off).reshape(shape)
-        arrays[entry["name"]] = arr.astype(np.float64)
-        off += nbytes
-    if off != len(body):
-        raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-    return header["meta"], arrays
+
+
+def _parse_entries(entries, payload_size: int, path) -> list[tuple[str, np.dtype, tuple, int]]:
+    """Validate the header's array list against the payload before anything is
+    allocated: (name, dtype, shape, byte count) per array."""
+    parsed = []
+    total = 0
+    try:
+        for entry in entries:
+            name, shape = entry["name"], tuple(entry["shape"])
+            if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
+                raise ValueError(f"bad name or shape in {entry}")
+            dtype = _checked_dtype(entry["dtype"])
+            nbytes = math.prod(shape) * dtype.itemsize
+            parsed.append((name, dtype, shape, nbytes))
+            total += nbytes
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint header: {exc}") from exc
+    if total != payload_size:
+        raise CheckpointError(
+            f"{path}: header gives {total} payload bytes, file holds {payload_size}")
+    return parsed
+
+
+def read_checkpoint(path, prefix: str = "") -> tuple[dict, dict[str, np.ndarray]]:
+    """Metadata and the arrays whose names start with ``prefix``. The digest
+    is checked over the whole file before anything is parsed; arrays that are
+    not selected are skipped without being read into memory."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _PREAMBLE + _DIGEST_SIZE or fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file")
+        fh.seek(0)
+        _verify_digest(fh, size, path)
+        fh.seek(len(CHECKPOINT_MAGIC))
+        hlen = int.from_bytes(fh.read(4), "little")
+        if hlen > size - _PREAMBLE - _DIGEST_SIZE:
+            raise CheckpointError(f"{path}: header length {hlen} exceeds the file")
+        try:
+            header = json.loads(fh.read(hlen).decode())
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+            raise CheckpointError(f"{path}: unreadable checkpoint header") from exc
+        version = header.get("version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        entries = _parse_entries(header.get("arrays"), size - _PREAMBLE - hlen - _DIGEST_SIZE, path)
+        arrays = {}
+        for name, dtype, shape, nbytes in entries:
+            if name.startswith(prefix):
+                arr = np.empty(shape, dtype=dtype)
+                _read_exact(fh, _byte_view(arr), path)
+                arrays[name] = arr
+            else:
+                fh.seek(nbytes, os.SEEK_CUR)
+    return header.get("meta"), arrays
 
 
 def net_to_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:

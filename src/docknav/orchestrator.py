@@ -455,9 +455,10 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         arrays["replay.next_obs"] = replay.next_obs[:n]
         arrays["replay.actions"] = replay.actions[:n]
         arrays["replay.rewards"] = replay.rewards[:n]
-        arrays["replay.terminals"] = replay.terminals[:n].astype(np.float64)
-        arrays["replay.worker_ids"] = replay.worker_ids[:n].astype(np.float64)
-        arrays["replay.priorities"] = replay.tree.leaves()[:n]
+        arrays["replay.terminals"] = replay.terminals[:n]
+        arrays["replay.worker_ids"] = replay.worker_ids[:n]
+        first_leaf = replay.tree.capacity - 1
+        arrays["replay.priorities"] = replay.tree.nodes[first_leaf : first_leaf + n]
     if trainer.result_set:
         arrays["pending_features"] = np.stack([f for f, _ in trainer.result_set])
         arrays["pending_labels"] = np.array([y for _, y in trainer.result_set])
@@ -493,6 +494,11 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     """Rebuild a trainer from a checkpoint; structural mismatches against the
     supplied config raise :class:`nn.CheckpointError`."""
     meta, arrays = nn.read_checkpoint(path)
+    n, cursor = int(meta["replay.size"]), int(meta["replay.cursor"])
+    if n > config.replay_capacity or cursor >= config.replay_capacity:
+        raise nn.CheckpointError(
+            f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}, "
+            f"config replay_capacity is {config.replay_capacity}")
     trainer = Trainer(config, seed=int(meta["seed"]), out_dir=out_dir,
                       robot=world.RobotSpec(**meta["robot"]),
                       dolly=world.DollySpec(**meta["dolly"]))
@@ -517,18 +523,17 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     trainer.fpi.stats.mean = arrays["fpi_stats.mean"].copy()
     trainer.fpi.stats.m2 = arrays["fpi_stats.m2"].copy()
 
-    n = int(meta["replay.size"])
     replay = trainer.replay
     if n:
         replay.obs[:n] = arrays["replay.obs"]
         replay.next_obs[:n] = arrays["replay.next_obs"]
         replay.actions[:n] = arrays["replay.actions"]
         replay.rewards[:n] = arrays["replay.rewards"]
-        replay.terminals[:n] = arrays["replay.terminals"].astype(bool)
-        replay.worker_ids[:n] = arrays["replay.worker_ids"].astype(np.int32)
+        replay.terminals[:n] = arrays["replay.terminals"]
+        replay.worker_ids[:n] = arrays["replay.worker_ids"]
         replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
     replay.size = n
-    replay.cursor = int(meta["replay.cursor"])
+    replay.cursor = cursor
     replay.inserted_total = int(meta["replay.inserted_total"])
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
@@ -555,8 +560,9 @@ def _rng_state(state: dict) -> dict:
 
 
 def actor_from_checkpoint(path, dtype=np.float32) -> Actor:
-    """Load just the policy network from a checkpoint (enough for evaluation)."""
-    meta, arrays = nn.read_checkpoint(path)
+    """Load just the policy network from a checkpoint (enough for evaluation);
+    the replay and every other array are skipped, not read."""
+    meta, arrays = nn.read_checkpoint(path, prefix="actor.")
     layers = meta["actor_layers"]
     obs_dim, act_dim = int(layers[0]), int(layers[-1]) // 2
     actor = Actor(obs_dim, act_dim, tuple(int(h) for h in layers[1:-1]),

@@ -1,7 +1,13 @@
+import hashlib
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from docknav.nn import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     AdamState,
     CheckpointError,
     DenseNet,
@@ -233,9 +239,113 @@ def test_checkpoint_bad_magic_and_truncation(tmp_path):
 
 
 def test_checkpoint_float32_roundtrip_exact(tmp_path):
-    # float32 values survive the 64-bit container exactly
+    # float32 arrays are stored in their own dtype and come back exact
     arr = np.random.default_rng(9).normal(size=17).astype(np.float32)
     path = tmp_path / "f32.ckpt"
     write_checkpoint(path, {}, {"a": arr})
     _, arrays = read_checkpoint(path)
     assert np.array_equal(arrays["a"].astype(np.float32), arr)
+
+
+def test_checkpoint_roundtrip_keeps_dtype_and_shape(tmp_path):
+    rng = np.random.default_rng(10)
+    arrays = {
+        "f4": rng.normal(size=(3, 5)).astype(np.float32),
+        "f8": rng.normal(size=7),
+        "bool": rng.random(9) < 0.5,
+        "i4": rng.integers(-5, 5, size=(2, 2)).astype(np.int32),
+        "scalar": np.array(2.5),
+        "empty": np.zeros((0, 3), dtype=np.float32),
+    }
+    path = tmp_path / "dtypes.ckpt"
+    write_checkpoint(path, {"k": "v"}, arrays)
+    meta, back = read_checkpoint(path)
+    assert meta == {"k": "v"}
+    assert list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype, name
+        assert back[name].shape == arr.shape, name
+        assert back[name].tobytes() == arr.tobytes(), name
+
+
+def test_checkpoint_prefix_reads_only_matching_arrays(tmp_path):
+    rng = np.random.default_rng(11)
+    arrays = {"actor.W0": rng.normal(size=(3, 2)), "replay.obs": rng.normal(size=(50, 4)),
+              "actor.b0": rng.normal(size=2)}
+    path = tmp_path / "prefix.ckpt"
+    write_checkpoint(path, {}, arrays)
+    _, back = read_checkpoint(path, prefix="actor.")
+    assert sorted(back) == ["actor.W0", "actor.b0"]
+    for name in back:
+        assert np.array_equal(back[name], arrays[name])
+    # the digest still covers the skipped arrays
+    blob = bytearray(path.read_bytes())
+    blob[-32 - 2 * 8 - 100] ^= 0x01  # inside replay.obs
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="checksum"):
+        read_checkpoint(path, prefix="actor.")
+
+
+def _container(header: dict, payload: bytes) -> bytes:
+    """A hand-built checkpoint file with a valid digest."""
+    text = json.dumps(header).encode()
+    body = CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def test_checkpoint_version_1_rejected(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(_container({"version": 1, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]},
+                                np.arange(3, dtype="<f8").tobytes()))
+    with pytest.raises(CheckpointError, match="version 1"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", ["|O", "<U1", "<c8", "|V8", ">f8", "<M8[s]"])
+def test_checkpoint_non_numeric_dtype_rejected(tmp_path, dtype):
+    path = tmp_path / "dtype.ckpt"
+    entry = {"name": "a", "dtype": dtype, "shape": [2]}
+    path.write_bytes(_container({"version": CHECKPOINT_VERSION, "meta": {}, "arrays": [entry]},
+                                bytes(2 * np.dtype(dtype).itemsize)))
+    with pytest.raises(CheckpointError, match="dtype"):
+        read_checkpoint(path)
+
+
+@pytest.mark.parametrize("arrays", [
+    [{"name": "a", "dtype": "<f8", "shape": [1 << 22]}],  # claims 32 MiB, holds 8 bytes
+    [{"name": "a", "dtype": "<f8", "shape": [1]}, {"name": "b", "dtype": "<f8", "shape": [1]}],
+    [{"name": "a", "dtype": "<f8", "shape": [-1]}],
+    [{"name": "a", "dtype": "<f8"}],
+    None,
+])
+def test_checkpoint_header_inconsistent_with_payload_rejected_before_allocation(tmp_path, arrays):
+    path = tmp_path / "sizes.ckpt"
+    path.write_bytes(_container({"version": CHECKPOINT_VERSION, "meta": {}, "arrays": arrays},
+                                bytes(8)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="payload|header"):
+            read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_checkpoint_write_of_object_array_raises_and_leaves_no_file(tmp_path):
+    path = tmp_path / "obj.ckpt"
+    with pytest.raises(TypeError, match="dtype"):
+        write_checkpoint(path, {}, {"ok": np.zeros(3), "bad": np.array([None, 1], dtype=object)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_failed_write_removes_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "fail.ckpt"
+
+    def refuse(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr("docknav.nn.os.replace", refuse)
+    with pytest.raises(OSError, match="no space"):
+        write_checkpoint(path, {}, {"a": np.zeros(3)})
+    assert list(tmp_path.iterdir()) == []

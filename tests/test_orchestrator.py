@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -299,3 +300,63 @@ def test_actor_from_checkpoint_matches(tmp_path):
     a1, _ = trainer.learner.actor.act(obs, mode="mean")
     a2, _ = actor.act(obs, mode="mean")
     assert np.allclose(a1, a2, atol=1e-12)
+
+
+def test_restore_into_smaller_replay_rejected(tmp_path):
+    trainer = make_trainer(episode_budget=3, batch_size=8)
+    trainer.train()
+    n = len(trainer.replay)
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(trainer, path)
+    small = 1 << (n.bit_length() - 1)  # the largest power of two below n
+    assert small < n
+    with pytest.raises(CheckpointError, match=f"{n} transitions.*replay_capacity is {small}"):
+        restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8,
+                                             replay_capacity=small))
+
+
+def filled_trainer(capacity=1 << 12):
+    """A trainer with the full-size robot whose replay holds ``capacity``
+    random transitions."""
+    trainer = Trainer(tiny_config(replay_capacity=capacity), seed=1, robot=RobotSpec())
+    replay = trainer.replay
+    rng = np.random.default_rng(5)
+    rng.random(out=replay.obs)
+    rng.random(out=replay.next_obs)
+    replay.actions[:] = rng.uniform(-1.0, 1.0, size=replay.actions.shape)
+    replay.rewards[:] = rng.uniform(-10.0, 10.0, size=capacity)
+    replay.terminals[:] = rng.random(capacity) < 0.01
+    replay.worker_ids[:] = rng.integers(0, 4, size=capacity)
+    replay.tree.set_many(np.arange(capacity), rng.uniform(0.1, 2.0, size=capacity))
+    replay.size = replay.inserted_total = capacity
+    return trainer
+
+
+def traced_peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_checkpoint_streams_replay(tmp_path):
+    trainer = filled_trainer()
+    replay_bytes = trainer.replay.obs.nbytes + trainer.replay.next_obs.nbytes
+    path = tmp_path / "full.ckpt"
+    _, peak = traced_peak(save_checkpoint, trainer, path)
+    assert peak < 0.1 * replay_bytes
+    restored = restore_checkpoint(path, tiny_config(replay_capacity=1 << 12))
+    assert restored.replay.obs.tobytes() == trainer.replay.obs.tobytes()
+
+
+def test_actor_from_checkpoint_skips_replay(tmp_path):
+    trainer = filled_trainer()
+    replay_bytes = trainer.replay.obs.nbytes + trainer.replay.next_obs.nbytes
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(trainer, path)
+    actor, peak = traced_peak(actor_from_checkpoint, path, dtype=np.float64)
+    assert peak < 0.1 * replay_bytes
+    for a, b in zip(actor.net.parameters(), trainer.learner.actor.net.parameters()):
+        assert a.tobytes() == b.tobytes()
