@@ -31,7 +31,6 @@ class RunConfig:
     workers: int = 4  # the full-scale setup parallelizes 9
     wall_clock_limit: float = 0.0  # seconds; 0 disables
     updates_per_episode: int = 32
-    queue_size: int = 16
     replay_capacity: int = 2**17  # power of two; full scale uses 2**20
     dtype: str = "float32"
     step_limit: int = 500
@@ -164,7 +163,6 @@ _SCHEMA: list[tuple[str, str, object]] = [
     ("run", "workers", int),
     ("run", "wall_clock_limit", float),
     ("run", "updates_per_episode", int),
-    ("run", "queue_size", int),
     ("run", "replay_capacity", int),
     ("run", "dtype", str),
     ("run", "step_limit", int),
@@ -234,7 +232,6 @@ def _validate(cfg: RunConfig) -> list[str]:
     check(cfg.episode_budget >= 1, "run.episode_budget must be >= 1")
     check(cfg.workers >= 1, "run.workers must be >= 1")
     check(cfg.updates_per_episode >= 0, "run.updates_per_episode must be >= 0")
-    check(cfg.queue_size >= 1, "run.queue_size must be >= 1")
     check(cfg.replay_capacity >= 1 and cfg.replay_capacity & (cfg.replay_capacity - 1) == 0,
           "run.replay_capacity must be a power of two")
     check(cfg.dtype in ("float32", "float64"), "run.dtype must be float32 or float64")

@@ -358,11 +358,6 @@ def net_to_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:
     return out
 
 
-def net_meta(net: DenseNet) -> dict:
-    return {"layer_sizes": list(net.layer_sizes), "activations": list(net.activations),
-            "dtype": net.dtype.name}
-
-
 def load_net_arrays(net: DenseNet, prefix: str, arrays: dict[str, np.ndarray]) -> DenseNet:
     """Overwrite ``net``'s parameters with the ``{prefix}.W{i}``/``{prefix}.b{i}``
     arrays written by :func:`net_to_arrays`, cast to the network's dtype."""
@@ -372,8 +367,3 @@ def load_net_arrays(net: DenseNet, prefix: str, arrays: dict[str, np.ndarray]) -
                        arrays[f"{prefix}.b{i}"].astype(net.dtype)))
     net.set_parameters(params)
     return net
-
-
-def net_from_arrays(prefix: str, meta: dict, arrays: dict[str, np.ndarray]) -> DenseNet:
-    net = DenseNet(meta["layer_sizes"], meta["activations"], dtype=np.dtype(meta["dtype"]))
-    return load_net_arrays(net, prefix, arrays)

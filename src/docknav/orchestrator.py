@@ -1,12 +1,13 @@
-"""Distributed training: asynchronous rollout workers feeding one master
-update loop through a bounded episode queue, with immutable versioned
-parameter snapshots flowing back.
+"""Training: rollout workers take turns with the learner in one loop.
 
 Workers own their environments and RNG streams (seeded ``base_seed +
-worker_id``); the master is the only writer of network parameters, replay
-priorities, and the success predictor. ``workers = 1`` runs a strictly
-synchronous single-context mode (one episode, then the owed update steps)
-that is bit-reproducible and is what the checkpoint/restore tests rely on.
+worker_id``) and local copies of the actor, the first critic and the success
+predictor; the trainer is the only writer of network parameters, replay
+priorities, and the success predictor. Episode ``n`` comes from worker
+``n % workers``; it is ingested, the owed update steps run, and a new
+parameter version is published, which each worker copies before its next
+episode. Runs are bit-reproducible at any worker count, and a checkpoint
+holds every worker's RNG stream, so a restored run continues bit-identically.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-import threading
 import time
 import weakref
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,49 +24,16 @@ import numpy as np
 
 from . import curriculum as cur
 from . import nn, world
-from .per import Episode, EpisodeQueue, PerConfig, PrioritizedReplay, QueueClosed, anneal_b
+from .per import Episode, PerConfig, PrioritizedReplay, anneal_b
 from .sac import Actor, SacConfig, SacLearner
 
 MASTER_SEED_OFFSET = 2**31  # keeps the master stream clear of worker streams
+ACT_DIM = 2  # (linear, angular) velocity command
 
 TELEMETRY_FIELDS = ["episode", "worker_id", "return", "steps", "success", "task_type",
                     "snapshot_version"]
 CURRICULUM_FIELDS = ["episode", "task_type", "distance", "agent_clearance", "goal_clearance",
                      "relative_angle", "initial_q", "fpi_prediction", "success"]
-
-
-@dataclass(frozen=True)
-class ParameterSnapshot:
-    """Immutable parameter set shipped master -> workers."""
-
-    version: int
-    actor_params: tuple
-    q1_params: tuple
-    fpi_params: tuple
-    fpi_stats: dict
-
-    @staticmethod
-    def freeze(params) -> tuple:
-        out = []
-        for p in params:
-            c = p.copy()
-            c.flags.writeable = False
-            out.append(c)
-        return tuple(out)
-
-
-class SnapshotChannel:
-    """Single-publisher, multi-subscriber snapshot handoff. Publication is a
-    single reference swap, so readers always see a complete parameter set."""
-
-    def __init__(self):
-        self._snapshot: ParameterSnapshot | None = None
-
-    def publish(self, snapshot: ParameterSnapshot) -> None:
-        self._snapshot = snapshot
-
-    def latest(self) -> ParameterSnapshot:
-        return self._snapshot
 
 
 class Candidate(NamedTuple):
@@ -82,12 +48,12 @@ class Candidate(NamedTuple):
 
 class Worker:
     """Rollout context: local network copies, task selection, one episode at
-    a time. Runs inline (synchronous mode) or as a thread body."""
+    a time."""
 
     def __init__(self, worker_id: int, base_seed: int, trainer: "Trainer"):
         self.worker_id = worker_id
         self.rng = np.random.default_rng(base_seed + worker_id)
-        # the trainer owns its sync worker; a strong reference back would make a
+        # the trainer owns its workers; a strong reference back would make a
         # cycle, and each finished trainer, replay pages included, would stay
         # resident until the cyclic garbage collector next ran
         self.trainer = weakref.proxy(trainer)
@@ -99,14 +65,17 @@ class Worker:
         self.fpi = cur.SuccessPredictor(rng=self.rng, learning_rate=t.navacl_config.learning_rate)
         self._version = -1
 
-    def _load_snapshot(self, snap: ParameterSnapshot) -> None:
-        if snap.version == self._version:
+    def _sync_networks(self) -> None:
+        """Copy the learner's actor, first critic and success predictor when
+        the trainer has published a version since the last copy."""
+        t = self.trainer
+        if t.snapshot_version == self._version:
             return
-        self.actor.net.set_parameters(snap.actor_params)
-        self.q1.set_parameters(snap.q1_params)
-        self.fpi.net.set_parameters(snap.fpi_params)
-        self.fpi.stats = cur.RunningStats.from_state(snap.fpi_stats)
-        self._version = snap.version
+        self.actor.net.set_parameters(t.learner.actor.net.parameters())
+        self.q1.set_parameters(t.learner.critics.q1.parameters())
+        self.fpi.net.set_parameters(t.fpi.net.parameters())
+        self.fpi.stats = cur.RunningStats.from_state(t.fpi.stats.state())
+        self._version = t.snapshot_version
 
     def _sample_task(self) -> world.Task:
         return world.sample_task(self.rng, self.trainer.task_bounds,
@@ -165,8 +134,8 @@ class Worker:
         return (np.stack(obs), np.stack(actions), np.asarray(rewards),
                 np.asarray(terminals, dtype=bool), bool(flags.goal))
 
-    def produce_episode(self, snapshot: ParameterSnapshot) -> Episode:
-        self._load_snapshot(snapshot)
+    def produce_episode(self) -> Episode:
+        self._sync_networks()
         chosen, task_type = self.select_task()
         observations, actions, rewards, terminals, success = self.rollout(chosen)
         return Episode(
@@ -174,22 +143,13 @@ class Worker:
             features=chosen.features, fpi_prediction=chosen.prediction,
             observations=observations, actions=actions,
             rewards=rewards, terminals=terminals, success=success,
-            snapshot_version=snapshot.version,
+            snapshot_version=self._version,
         )
-
-    def run(self, queue: EpisodeQueue, stop: threading.Event) -> None:
-        """Thread body: produce episodes until told to stop."""
-        while not stop.is_set():
-            episode = self.produce_episode(self.trainer.snapshots.latest())
-            try:
-                queue.put(episode)
-            except QueueClosed:
-                return
 
 
 class Trainer:
     """Owns the learner, the replay buffer, the success predictor, telemetry,
-    and the master update loop."""
+    the rollout workers and the training loop."""
 
     def __init__(self, config, seed: int, out_dir=None,
                  robot: world.RobotSpec | None = None, dolly: world.DollySpec | None = None):
@@ -205,7 +165,7 @@ class Trainer:
         self.step_limit = config.step_limit
         self.dtype = np.dtype(config.dtype)
         self.obs_dim = world.observation_dim(self.robot)
-        self.act_dim = 2
+        self.act_dim = ACT_DIM
 
         init_rng = np.random.default_rng(seed)
         self.learner = SacLearner(self.obs_dim, self.act_dim, self.sac_config, init_rng,
@@ -223,10 +183,8 @@ class Trainer:
         self.snapshot_version = 0
         self.result_set: list[tuple[np.ndarray, float]] = []  # pending f_pi batch
         self.fpi_train_calls = 0
-        self.snapshots = SnapshotChannel()
-        self._publish_snapshot(initial=True)
 
-        self._sync_worker: Worker | None = None
+        self._workers: list[Worker] = []  # built by the first train()
         self.out_dir = Path(out_dir) if out_dir else None
         self._telemetry = self._curriculum_log = None
         if self.out_dir:
@@ -240,17 +198,10 @@ class Trainer:
 
     # -- snapshots ------------------------------------------------------
 
-    def _publish_snapshot(self, initial: bool = False) -> None:
-        if not initial:
-            self.snapshot_version += 1
-        snap = ParameterSnapshot(
-            version=self.snapshot_version,
-            actor_params=ParameterSnapshot.freeze(self.learner.actor.net.parameters()),
-            q1_params=ParameterSnapshot.freeze(self.learner.critics.q1.parameters()),
-            fpi_params=ParameterSnapshot.freeze(self.fpi.net.parameters()),
-            fpi_stats=self.fpi.stats.state(),
-        )
-        self.snapshots.publish(snap)
+    def _publish_snapshot(self) -> None:
+        """Mark the current parameters as a new version; each worker copies
+        them before its next episode."""
+        self.snapshot_version += 1
 
     # -- episode ingestion ------------------------------------------------
 
@@ -262,7 +213,7 @@ class Trainer:
         if self.variant == "navacl_q":
             self.result_set.append((episode.features, 1.0 if episode.success else 0.0))
             if len(self.result_set) >= self.navacl_config.batch_size:
-                self._train_fpi()
+                self._train_fpi(self.navacl_config.batch_size)
         if self._telemetry:
             self._telemetry.writerow([
                 self.episodes_received, episode.worker_id,
@@ -277,22 +228,17 @@ class Trainer:
                 pred, int(episode.success),
             ])
 
-    def _train_fpi(self) -> None:
-        batch = self.result_set[: self.navacl_config.batch_size]
-        del self.result_set[: self.navacl_config.batch_size]
-        features = np.stack([f for f, _ in batch])
-        labels = np.array([y for _, y in batch])
-        self.fpi.train_batch(features, labels)
+    def _train_fpi(self, count: int) -> None:
+        """One success-predictor step on the oldest ``count`` results."""
+        batch = self.result_set[:count]
+        del self.result_set[:count]
+        self.fpi.train_batch(np.stack([f for f, _ in batch]), np.array([y for _, y in batch]))
         self.fpi_train_calls += 1
 
     def flush_fpi_results(self) -> None:
         """Train on a final partial batch (shutdown path)."""
         if self.result_set:
-            features = np.stack([f for f, _ in self.result_set])
-            labels = np.array([y for _, y in self.result_set])
-            self.result_set.clear()
-            self.fpi.train_batch(features, labels)
-            self.fpi_train_calls += 1
+            self._train_fpi(len(self.result_set))
 
     # -- updates -----------------------------------------------------------
 
@@ -325,7 +271,7 @@ class Trainer:
                 break  # buffer below one batch: idle, keep the debt
             self.pending_updates -= 1.0
 
-    # -- training loops -----------------------------------------------------
+    # -- training loop ------------------------------------------------------
 
     def train(self, max_new_episodes: int | None = None) -> None:
         """Run training until the episode budget (or, when given, until
@@ -334,65 +280,21 @@ class Trainer:
         stop_at = self.config.episode_budget
         if max_new_episodes is not None:
             stop_at = min(stop_at, self.episodes_received + max_new_episodes)
-        if self.config.workers <= 1:
-            self._train_sync(stop_at)
-        else:
-            self._train_async(stop_at)
+        if not self._workers:
+            self._workers = [Worker(i, self.seed, self) for i in range(self.config.workers)]
+        self._train(stop_at)
         self.close_logs()
 
-    def _train_sync(self, stop_at: int) -> None:
-        if self._sync_worker is None:
-            self._sync_worker = Worker(0, self.seed, self)
-        worker = self._sync_worker
+    def _train(self, stop_at: int) -> None:
         start = time.monotonic()
         while self.episodes_received < stop_at:
-            episode = worker.produce_episode(self.snapshots.latest())
-            self._ingest_episode(episode)
+            worker = self._workers[self.episodes_received % len(self._workers)]
+            self._ingest_episode(worker.produce_episode())
             self._run_owed_updates()
             self._publish_snapshot()
             if self._wall_clock_exceeded(start):
                 break
             self._maybe_periodic_checkpoint()
-
-    def _train_async(self, stop_at: int) -> None:
-        queue = EpisodeQueue(maxsize=self.config.queue_size)
-        stop = threading.Event()
-        workers = [Worker(i, self.seed, self) for i in range(self.config.workers)]
-        threads = [threading.Thread(target=w.run, args=(queue, stop), daemon=True)
-                   for w in workers]
-        for t in threads:
-            t.start()
-        start = time.monotonic()
-        timed_out = False
-        try:
-            while self.episodes_received < stop_at:
-                got = False
-                if self.pending_updates < 1.0 or len(self.replay) < self.sac_config.batch_size:
-                    episode = queue.get(timeout=0.05)
-                    if episode is not None:
-                        # ingest everything already delivered, even past the
-                        # budget: delivered transitions are never dropped
-                        self._ingest_episode(episode)
-                        for extra in queue.drain():
-                            self._ingest_episode(extra)
-                        got = True
-                if self.pending_updates >= 1.0 and self.run_update():
-                    self.pending_updates -= 1.0
-                if got:
-                    self._publish_snapshot()
-                    self._maybe_periodic_checkpoint()
-                if self._wall_clock_exceeded(start):
-                    timed_out = True
-                    break
-        finally:
-            stop.set()
-            queue.close()
-            for t in threads:
-                t.join(timeout=10.0)
-        # the loop ingests faster than it updates; pay what the received
-        # episodes are owed, unless the run is out of wall-clock time
-        if not timed_out:
-            self._run_owed_updates()
 
     def _wall_clock_exceeded(self, start: float) -> bool:
         limit = self.config.wall_clock_limit
@@ -429,9 +331,9 @@ def _load_adam(prefix: str, state: nn.AdamState, arrays: dict, meta: dict) -> No
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
-    """Full trainer state: networks, optimizers, replay, RNG streams, and
-    counters. Restoring reproduces identical subsequent behavior in the
-    synchronous mode."""
+    """Full trainer state: networks, optimizers, replay, RNG streams (one per
+    worker once training has built them), and counters. Restoring reproduces
+    identical subsequent behavior."""
     learner = trainer.learner
     arrays: dict[str, np.ndarray] = {}
     for prefix, net in (("actor", learner.actor.net), ("q1", learner.critics.q1),
@@ -485,30 +387,38 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         "master_rng": trainer.master_rng.bit_generator.state,
         "adam": adam_meta,
     }
-    if trainer._sync_worker is not None:
-        meta["worker0_rng"] = trainer._sync_worker.rng.bit_generator.state
+    for w in trainer._workers:
+        meta[f"worker{w.worker_id}_rng"] = w.rng.bit_generator.state
     nn.write_checkpoint(path, meta, arrays)
 
 
 def restore_checkpoint(path, config, out_dir=None) -> Trainer:
-    """Rebuild a trainer from a checkpoint; structural mismatches against the
-    supplied config raise :class:`nn.CheckpointError`."""
+    """Rebuild a trainer from a checkpoint. Structural mismatches against the
+    supplied config raise :class:`nn.CheckpointError` before the trainer, and
+    with it the logs in ``out_dir``, is created."""
     meta, arrays = nn.read_checkpoint(path)
+    robot = world.RobotSpec(**meta["robot"])
+    actor_layers = [world.observation_dim(robot), *config.hidden, 2 * ACT_DIM]
+    if meta["actor_layers"] != actor_layers:
+        raise nn.CheckpointError(
+            f"actor layout mismatch: checkpoint {meta['actor_layers']} vs config {actor_layers}")
+    if meta["dtype"] != np.dtype(config.dtype).name:
+        raise nn.CheckpointError(
+            f"dtype mismatch: checkpoint {meta['dtype']} vs config {config.dtype}")
     n, cursor = int(meta["replay.size"]), int(meta["replay.cursor"])
     if n > config.replay_capacity or cursor >= config.replay_capacity:
         raise nn.CheckpointError(
             f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}, "
             f"config replay_capacity is {config.replay_capacity}")
-    trainer = Trainer(config, seed=int(meta["seed"]), out_dir=out_dir,
-                      robot=world.RobotSpec(**meta["robot"]),
+    worker_rngs = []
+    while f"worker{len(worker_rngs)}_rng" in meta:
+        worker_rngs.append(meta[f"worker{len(worker_rngs)}_rng"])
+    if worker_rngs and len(worker_rngs) != config.workers:
+        raise nn.CheckpointError(
+            f"worker count mismatch: checkpoint {len(worker_rngs)} vs config {config.workers}")
+    trainer = Trainer(config, seed=int(meta["seed"]), out_dir=out_dir, robot=robot,
                       dolly=world.DollySpec(**meta["dolly"]))
     learner = trainer.learner
-    if list(learner.actor.net.layer_sizes) != meta["actor_layers"]:
-        raise nn.CheckpointError(
-            f"actor layout mismatch: checkpoint {meta['actor_layers']} vs "
-            f"config {list(learner.actor.net.layer_sizes)}")
-    if meta["dtype"] != trainer.dtype.name:
-        raise nn.CheckpointError(f"dtype mismatch: checkpoint {meta['dtype']}")
     for prefix, net in (("actor", learner.actor.net), ("q1", learner.critics.q1),
                         ("q2", learner.critics.q2), ("tq1", learner.critics.target_q1),
                         ("tq2", learner.critics.target_q2), ("fpi", trainer.fpi.net)):
@@ -546,10 +456,9 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     trainer.snapshot_version = int(meta["snapshot_version"])
     trainer.fpi_train_calls = int(meta["fpi_train_calls"])
     trainer.master_rng.bit_generator.state = _rng_state(meta["master_rng"])
-    if "worker0_rng" in meta:
-        trainer._sync_worker = Worker(0, trainer.seed, trainer)
-        trainer._sync_worker.rng.bit_generator.state = _rng_state(meta["worker0_rng"])
-    trainer._publish_snapshot(initial=True)
+    for i, state in enumerate(worker_rngs):
+        trainer._workers.append(Worker(i, trainer.seed, trainer))
+        trainer._workers[i].rng.bit_generator.state = _rng_state(state)
     return trainer
 
 

@@ -1,12 +1,13 @@
-"""Proportional prioritized experience replay on a binary sum tree, plus the
-bounded episode queue connecting rollout workers to the master trainer.
+"""Proportional prioritized experience replay on a binary sum tree, plus a
+bounded episode queue that training does not use (rollout workers take
+turns in the training loop); it stays while the benchmark's tracer wraps it.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,7 +122,7 @@ class SumTree:
 
 @dataclass
 class Episode:
-    """A completed rollout as shipped from a worker to the master."""
+    """A completed rollout as produced by a worker for the trainer."""
 
     worker_id: int
     task: object  # world.Task
@@ -150,11 +151,11 @@ class PrioritizedReplay:
     New transitions enter at the current maximum leaf priority so each one is
     sampled at least once; priorities are refreshed to (|td| + floor)^c after
     the learner sees them. Storage is FIFO once capacity is reached. Single
-    owner (the master); not thread safe.
+    owner (the trainer); not thread safe.
     """
 
-    def __init__(self, capacity: int, config: PerConfig | None = None,
-                 obs_dim: int | None = None, act_dim: int = 2, dtype=np.float32):
+    def __init__(self, capacity: int, config: PerConfig | None = None, *,
+                 obs_dim: int, act_dim: int = 2, dtype=np.float32):
         self.config = config or PerConfig()
         self.tree = SumTree(capacity)
         self.capacity = capacity
@@ -162,20 +163,12 @@ class PrioritizedReplay:
         self.cursor = 0
         self.inserted_total = 0
         self.dtype = np.dtype(dtype)
-        self.act_dim = act_dim
-        self._storage_ready = False
-        if obs_dim is not None:
-            self._allocate(obs_dim)
-
-    def _allocate(self, obs_dim: int) -> None:
-        cap = self.capacity
-        self.obs = np.zeros((cap, obs_dim), dtype=self.dtype)
-        self.next_obs = np.zeros((cap, obs_dim), dtype=self.dtype)
-        self.actions = np.zeros((cap, self.act_dim), dtype=self.dtype)
-        self.rewards = np.zeros(cap, dtype=np.float64)
-        self.terminals = np.zeros(cap, dtype=bool)
-        self.worker_ids = np.zeros(cap, dtype=np.int32)
-        self._storage_ready = True
+        self.obs = np.zeros((capacity, obs_dim), dtype=self.dtype)
+        self.next_obs = np.zeros((capacity, obs_dim), dtype=self.dtype)
+        self.actions = np.zeros((capacity, act_dim), dtype=self.dtype)
+        self.rewards = np.zeros(capacity, dtype=np.float64)
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self.worker_ids = np.zeros(capacity, dtype=np.int32)
 
     def __len__(self) -> int:
         return self.size
@@ -185,9 +178,6 @@ class PrioritizedReplay:
 
     def push(self, obs, action, reward, next_obs, terminal, td_error=None, worker_id=0) -> int:
         """Insert one transition; returns its slot index."""
-        obs = np.asarray(obs)
-        if not self._storage_ready:
-            self._allocate(obs.shape[-1])
         if td_error is None:
             priority = self.tree.max_leaf if self.size else 1.0
         else:

@@ -131,9 +131,9 @@ def test_outputs_schema_and_metadata(tmp_path):
     cfg = small_grid()
     run_grid_eval(frozen_policy, cfg, out_dir=out, robot=TINY_ROBOT, step_limit=5,
                   trajectory_limit=2)
-    header = open(out / "grid_cells.csv").readline().strip()
+    header = (out / "grid_cells.csv").read_text().splitlines()[0]
     assert header == "ix,iy,x,y,orientation_deg,episodes,successes,success_rate,valid"
-    header = open(out / "grid_summary.csv").readline().strip()
+    header = (out / "grid_summary.csv").read_text().splitlines()[0]
     assert header == "row,orientation_deg,success_rate,valid_cells,invalid_cells"
     meta = json.loads((out / "metadata.json").read_text())
     assert meta["grid_offset"] == cfg.grid_offset

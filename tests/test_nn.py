@@ -13,9 +13,8 @@ from docknav.nn import (
     DenseNet,
     GradientError,
     adam_step,
-    net_from_arrays,
+    load_net_arrays,
     net_grads_list,
-    net_meta,
     net_to_arrays,
     read_checkpoint,
     write_checkpoint,
@@ -209,9 +208,9 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     net = DenseNet([4, 8, 2], ["relu", "identity"], rng=rng)
     path = tmp_path / "net.ckpt"
-    write_checkpoint(path, {"net": net_meta(net), "note": 1}, net_to_arrays("net", net))
+    write_checkpoint(path, {"note": 1}, net_to_arrays("net", net))
     meta, arrays = read_checkpoint(path)
-    restored = net_from_arrays("net", meta["net"], arrays)
+    restored = load_net_arrays(DenseNet([4, 8, 2], ["relu", "identity"]), "net", arrays)
     for a, b in zip(net.parameters(), restored.parameters()):
         assert np.array_equal(a, b)
     assert meta["note"] == 1

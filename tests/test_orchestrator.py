@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from docknav.config import RunConfig
 from docknav.nn import CheckpointError
 from docknav.orchestrator import (
-    ParameterSnapshot,
     Trainer,
     Worker,
     actor_from_checkpoint,
@@ -46,12 +46,13 @@ def actor_bytes(trainer):
 # -- synchronous determinism ---------------------------------------------------
 
 
-def test_sync_mode_bit_reproducible(tmp_path):
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sync_mode_bit_reproducible(tmp_path, workers):
     digests = []
     telemetry = []
     for run in range(2):
         out = tmp_path / f"run{run}"
-        trainer = make_trainer(out_dir=out)
+        trainer = make_trainer(out_dir=out, workers=workers)
         trainer.train()
         digests.append(actor_bytes(trainer))
         telemetry.append((out / "telemetry.csv").read_text())
@@ -64,7 +65,7 @@ def test_single_worker_episode_reproducible():
     for _ in range(2):
         trainer = make_trainer()
         worker = Worker(0, trainer.seed, trainer)
-        episodes.append(worker.produce_episode(trainer.snapshots.latest()))
+        episodes.append(worker.produce_episode())
     a, b = episodes
     assert np.array_equal(a.observations, b.observations)
     assert np.array_equal(a.actions, b.actions)
@@ -171,14 +172,6 @@ def test_finished_trainer_freed_without_cycle_collection(tmp_path):
         gc.enable()
 
 
-def test_snapshots_are_immutable():
-    trainer = make_trainer()
-    snap = trainer.snapshots.latest()
-    assert isinstance(snap, ParameterSnapshot)
-    with pytest.raises(ValueError):
-        snap.actor_params[0][...] = 1.0
-
-
 def test_idle_when_buffer_below_batch():
     trainer = make_trainer(batch_size=4096)
     assert trainer.run_update() is False
@@ -254,19 +247,23 @@ def test_restore_then_updates_matches_uninterrupted(tmp_path):
     assert np.array_equal(ref.replay.tree.nodes, resumed.replay.tree.nodes)
 
 
-def test_resume_training_matches_uninterrupted(tmp_path):
+@pytest.mark.parametrize("workers, interrupt_at", [(1, 3), (3, 4)])
+def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
     # uninterrupted: 6 episodes in one go
-    full = make_trainer(episode_budget=6, batch_size=8)
+    full = make_trainer(episode_budget=6, batch_size=8, workers=workers)
     full.train()
-    # interrupted: 3 episodes, checkpoint, restore, 3 more
-    first = make_trainer(episode_budget=6, batch_size=8)
-    first.train(max_new_episodes=3)
+    # interrupted: checkpoint mid-run (with 3 workers, mid-turn), restore, finish
+    first = make_trainer(episode_budget=6, batch_size=8, workers=workers)
+    first.train(max_new_episodes=interrupt_at)
     path = tmp_path / "resume.ckpt"
     save_checkpoint(first, path)
-    second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8))
+    second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8,
+                                                  workers=workers))
     second.train()
     assert second.episodes_received == 6
     assert actor_bytes(full) == actor_bytes(second)
+    n = len(full.replay)
+    assert second.replay.worker_ids[:n].tolist() == full.replay.worker_ids[:n].tolist()
 
 
 def test_corrupted_checkpoint_rejected(tmp_path):
@@ -288,6 +285,26 @@ def test_structural_mismatch_rejected(tmp_path):
     save_checkpoint(trainer, path)
     with pytest.raises(CheckpointError, match="mismatch"):
         restore_checkpoint(path, tiny_config(hidden=(24,)))
+
+
+@pytest.mark.parametrize("mismatch", [dict(hidden=(24,)), dict(dtype="float32"),
+                                      dict(workers=2), dict(replay_capacity=1, batch_size=1)],
+                         ids=["hidden", "dtype", "workers", "replay"])
+def test_rejected_restore_leaves_run_logs_untouched(tmp_path, mismatch):
+    out = tmp_path / "run"
+    trainer = make_trainer(out_dir=out, episode_budget=3, batch_size=8)
+    trainer.train()
+    path = out / "final.ckpt"
+    save_checkpoint(trainer, path)
+    logs = {name: (out / name).read_bytes() for name in ("telemetry.csv", "curriculum.csv")}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(CheckpointError, match="mismatch"):
+            restore_checkpoint(path, tiny_config(**{"episode_budget": 3, "batch_size": 8,
+                                                    **mismatch}), out_dir=out)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    assert {name: (out / name).read_bytes() for name in logs} == logs
 
 
 def test_actor_from_checkpoint_matches(tmp_path):
