@@ -137,17 +137,6 @@ class RunningStats:
             return np.asarray(features, dtype=np.float64)
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std()
 
-    def state(self) -> dict:
-        return {"count": self.count, "mean": self.mean.copy(), "m2": self.m2.copy()}
-
-    @classmethod
-    def from_state(cls, state: dict) -> "RunningStats":
-        rs = cls(len(state["mean"]))
-        rs.count = int(state["count"])
-        rs.mean = np.asarray(state["mean"], dtype=np.float64).copy()
-        rs.m2 = np.asarray(state["m2"], dtype=np.float64).copy()
-        return rs
-
 
 class SuccessPredictor:
     """The curriculum's success-probability network: 5 -> 32 -> 32 -> 1 with
@@ -185,16 +174,14 @@ class SuccessPredictor:
         p, tape = self.net.forward_tape(x)
         p = p[:, 0]
         m = len(labels)
-        eps = 1e-12
-        loss = float(-np.mean(labels * np.log(p + eps) + (1 - labels) * np.log(1 - p + eps)))
         # fold sigmoid + BCE: dLoss/dlogit = (p - y) / m
         grads = self.net.backward(tape, ((p - labels) / m)[:, None], skip_last_activation=True)
         adam_step(self.net.parameters(), net_grads_list(grads), self.adam)
-        return loss
+        return bce_loss(p, labels)
 
 
 def bce_loss(probs, labels) -> float:
-    """Reference binary cross-entropy used by gradient checks."""
+    """Binary cross-entropy of success probabilities against 0/1 labels."""
     p = np.asarray(probs, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     eps = 1e-12

@@ -1,13 +1,13 @@
 """Training: rollout workers take turns with the learner in one loop.
 
 Workers own their environments and RNG streams (seeded ``base_seed +
-worker_id``) and local copies of the actor, the first critic and the success
+worker_id``) and act with the learner's own actor, first critic and success
 predictor; the trainer is the only writer of network parameters, replay
 priorities, and the success predictor. Episode ``n`` comes from worker
 ``n % workers``; it is ingested, the owed update steps run, and a new
-parameter version is published, which each worker copies before its next
-episode. Runs are bit-reproducible at any worker count, and a checkpoint
-holds every worker's RNG stream, so a restored run continues bit-identically.
+parameter version is published, which the next episode runs on. Runs are
+bit-reproducible at any worker count, and a checkpoint holds every worker's
+RNG stream, so a restored run continues bit-identically.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import operator
 import time
 import weakref
 from pathlib import Path
@@ -47,8 +48,8 @@ class Candidate(NamedTuple):
 
 
 class Worker:
-    """Rollout context: local network copies, task selection, one episode at
-    a time."""
+    """Rollout context: its own RNG stream, task selection, one episode at a
+    time, acting with the learner's networks."""
 
     def __init__(self, worker_id: int, base_seed: int, trainer: "Trainer"):
         self.worker_id = worker_id
@@ -57,25 +58,12 @@ class Worker:
         # cycle, and each finished trainer, replay pages included, would stay
         # resident until the cyclic garbage collector next ran
         self.trainer = weakref.proxy(trainer)
-        t = trainer
-        self.actor = Actor(t.obs_dim, t.act_dim, t.sac_config.hidden, rng=self.rng,
-                           dtype=t.dtype, log_std_min=t.sac_config.log_std_min,
-                           log_std_max=t.sac_config.log_std_max, tanh_eps=t.sac_config.tanh_eps)
-        self.q1 = t.learner.critics.q1.copy()
-        self.fpi = cur.SuccessPredictor(rng=self.rng, learning_rate=t.navacl_config.learning_rate)
-        self._version = -1
-
-    def _sync_networks(self) -> None:
-        """Copy the learner's actor, first critic and success predictor when
-        the trainer has published a version since the last copy."""
-        t = self.trainer
-        if t.snapshot_version == self._version:
-            return
-        self.actor.net.set_parameters(t.learner.actor.net.parameters())
-        self.q1.set_parameters(t.learner.critics.q1.parameters())
-        self.fpi.net.set_parameters(t.fpi.net.parameters())
-        self.fpi.stats = cur.RunningStats.from_state(t.fpi.stats.state())
-        self._version = t.snapshot_version
+        self.actor = trainer.learner.actor
+        self.q1 = trainer.learner.critics.q1
+        self.fpi = trainer.fpi
+        # skip one draw per actor and predictor parameter, as before: keeps every run's bits
+        self.rng.bit_generator.advance(sum(p.size for net in (self.actor.net, self.fpi.net)
+                                           for p in net.parameters()))
 
     def _sample_task(self) -> world.Task:
         return world.sample_task(self.rng, self.trainer.task_bounds,
@@ -135,7 +123,6 @@ class Worker:
                 np.asarray(terminals, dtype=bool), bool(flags.goal))
 
     def produce_episode(self) -> Episode:
-        self._sync_networks()
         chosen, task_type = self.select_task()
         observations, actions, rewards, terminals, success = self.rollout(chosen)
         return Episode(
@@ -143,7 +130,7 @@ class Worker:
             features=chosen.features, fpi_prediction=chosen.prediction,
             observations=observations, actions=actions,
             rewards=rewards, terminals=terminals, success=success,
-            snapshot_version=self._version,
+            snapshot_version=self.trainer.snapshot_version,
         )
 
 
@@ -188,19 +175,45 @@ class Trainer:
         self.out_dir = Path(out_dir) if out_dir else None
         self._telemetry = self._curriculum_log = None
         if self.out_dir:
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-            self._telemetry_fh = open(self.out_dir / "telemetry.csv", "w", newline="")
-            self._telemetry = csv.writer(self._telemetry_fh)
-            self._telemetry.writerow(TELEMETRY_FIELDS)
-            self._curriculum_fh = open(self.out_dir / "curriculum.csv", "w", newline="")
-            self._curriculum_log = csv.writer(self._curriculum_fh)
-            self._curriculum_log.writerow(CURRICULUM_FIELDS)
+            self._open_logs(keep_rows=0)
+
+    def _open_logs(self, keep_rows: int) -> None:
+        """Open ``telemetry.csv`` and ``curriculum.csv`` in ``out_dir``. With
+        ``keep_rows``, an existing log keeps its header and first ``keep_rows``
+        rows, and new rows follow them; a log with fewer rows raises
+        :class:`nn.CheckpointError` before either file is written. A missing
+        log, or any when ``keep_rows`` is 0, starts with its header."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        logs = [(self.out_dir / "telemetry.csv", TELEMETRY_FIELDS),
+                (self.out_dir / "curriculum.csv", CURRICULUM_FIELDS)]
+        kept = []
+        for path, _ in logs:
+            head = ""
+            if keep_rows and path.exists():
+                lines = path.read_bytes().splitlines(keepends=True)
+                if len(lines) <= keep_rows:
+                    raise nn.CheckpointError(
+                        f"{path} holds {max(0, len(lines) - 1)} rows, fewer than the "
+                        f"checkpoint's {keep_rows} episodes")
+                head = b"".join(lines[: keep_rows + 1]).decode()
+            kept.append(head)
+        handles = []
+        for (path, fields), head in zip(logs, kept):
+            fh = open(path, "w", newline="")
+            if head:
+                fh.write(head)
+            else:
+                csv.writer(fh).writerow(fields)
+            handles.append(fh)
+        self._telemetry_fh, self._curriculum_fh = handles
+        self._telemetry = csv.writer(self._telemetry_fh)
+        self._curriculum_log = csv.writer(self._curriculum_fh)
 
     # -- snapshots ------------------------------------------------------
 
     def _publish_snapshot(self) -> None:
-        """Mark the current parameters as a new version; each worker copies
-        them before its next episode."""
+        """Mark the current parameters as a new version, the one the next
+        episode runs on."""
         self.snapshot_version += 1
 
     # -- episode ingestion ------------------------------------------------
@@ -260,7 +273,7 @@ class Trainer:
             )
         except (FloatingPointError, nn.GradientError):
             if self.out_dir:
-                save_checkpoint(self, self.out_dir / "abort.ckpt")
+                self._checkpoint_to_out_dir("abort.ckpt")
             raise
         self.replay.update_priorities(idx, td_abs)
         return True
@@ -303,7 +316,15 @@ class Trainer:
     def _maybe_periodic_checkpoint(self) -> None:
         interval = self.config.checkpoint_interval
         if self.out_dir and interval > 0 and self.episodes_received % interval == 0:
-            save_checkpoint(self, self.out_dir / f"episode_{self.episodes_received}.ckpt")
+            self._checkpoint_to_out_dir(f"episode_{self.episodes_received}.ckpt")
+
+    def _checkpoint_to_out_dir(self, name: str) -> None:
+        """Flush both logs first, so that on disk they hold every row the
+        checkpoint counts and a restore from it can keep them."""
+        if self._telemetry:
+            self._telemetry_fh.flush()
+            self._curriculum_fh.flush()
+        save_checkpoint(self, self.out_dir / name)
 
     def close_logs(self) -> None:
         if self._telemetry:
@@ -313,52 +334,59 @@ class Trainer:
 
 
 # -- checkpointing ----------------------------------------------------------
+#
+# The checkpointed trainer state is described once, in file order, and both
+# save_checkpoint and restore_checkpoint walk these descriptions.
+
+REPLAY_ARRAYS = ("obs", "next_obs", "actions", "rewards", "terminals", "worker_ids")
+# checkpoint meta key -> attribute path from the trainer
+COUNTERS = {
+    "n_updates": "learner.n_updates",
+    "episodes_received": "episodes_received",
+    "transitions_received": "transitions_received",
+    "pending_updates": "pending_updates",
+    "snapshot_version": "snapshot_version",
+    "fpi_train_calls": "fpi_train_calls",
+    "fpi_stats.count": "fpi.stats.count",
+    "replay.size": "replay.size",
+    "replay.cursor": "replay.cursor",
+    "replay.inserted_total": "replay.inserted_total",
+}
 
 
-def _adam_arrays(prefix: str, state: nn.AdamState) -> dict:
-    out = {}
-    for i, (m, v) in enumerate(zip(state.m, state.v)):
-        out[f"{prefix}.m{i}"] = m
-        out[f"{prefix}.v{i}"] = v
-    return out
+def _networks(trainer: Trainer) -> dict[str, nn.DenseNet]:
+    learner, critics = trainer.learner, trainer.learner.critics
+    return {"actor": learner.actor.net, "q1": critics.q1, "q2": critics.q2,
+            "tq1": critics.target_q1, "tq2": critics.target_q2, "fpi": trainer.fpi.net}
 
 
-def _load_adam(prefix: str, state: nn.AdamState, arrays: dict, meta: dict) -> None:
-    for i in range(len(state.m)):
-        state.m[i][...] = arrays[f"{prefix}.m{i}"]
-        state.v[i][...] = arrays[f"{prefix}.v{i}"]
-    state.step_count = int(meta[f"{prefix}.steps"])
+def _optimizers(trainer: Trainer) -> dict[str, nn.AdamState]:
+    learner = trainer.learner
+    return {"adam_actor": learner.adam_actor, "adam_q1": learner.adam_q1,
+            "adam_q2": learner.adam_q2, "adam_alpha": learner.adam_alpha,
+            "adam_fpi": trainer.fpi.adam}
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
     """Full trainer state: networks, optimizers, replay, RNG streams (one per
     worker once training has built them), and counters. Restoring reproduces
     identical subsequent behavior."""
-    learner = trainer.learner
+    learner, replay = trainer.learner, trainer.replay
     arrays: dict[str, np.ndarray] = {}
-    for prefix, net in (("actor", learner.actor.net), ("q1", learner.critics.q1),
-                        ("q2", learner.critics.q2), ("tq1", learner.critics.target_q1),
-                        ("tq2", learner.critics.target_q2), ("fpi", trainer.fpi.net)):
+    for prefix, net in _networks(trainer).items():
         arrays.update(nn.net_to_arrays(prefix, net))
     arrays["log_alpha"] = learner._alpha_param[0]
-    adam_meta = {}
-    for prefix, st in (("adam_actor", learner.adam_actor), ("adam_q1", learner.adam_q1),
-                       ("adam_q2", learner.adam_q2), ("adam_alpha", learner.adam_alpha),
-                       ("adam_fpi", trainer.fpi.adam)):
-        arrays.update(_adam_arrays(prefix, st))
-        adam_meta[f"{prefix}.steps"] = st.step_count
+    optimizers = _optimizers(trainer)
+    for prefix, state in optimizers.items():
+        for i, (m, v) in enumerate(zip(state.m, state.v)):
+            arrays[f"{prefix}.m{i}"] = m
+            arrays[f"{prefix}.v{i}"] = v
     arrays["fpi_stats.mean"] = trainer.fpi.stats.mean
     arrays["fpi_stats.m2"] = trainer.fpi.stats.m2
-
-    replay = trainer.replay
     n = len(replay)
     if n:
-        arrays["replay.obs"] = replay.obs[:n]
-        arrays["replay.next_obs"] = replay.next_obs[:n]
-        arrays["replay.actions"] = replay.actions[:n]
-        arrays["replay.rewards"] = replay.rewards[:n]
-        arrays["replay.terminals"] = replay.terminals[:n]
-        arrays["replay.worker_ids"] = replay.worker_ids[:n]
+        for name in REPLAY_ARRAYS:
+            arrays[f"replay.{name}"] = getattr(replay, name)[:n]
         first_leaf = replay.tree.capacity - 1
         arrays["replay.priorities"] = replay.tree.nodes[first_leaf : first_leaf + n]
     if trainer.result_set:
@@ -374,18 +402,9 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         "dolly": dataclasses.asdict(trainer.dolly),
         "actor_layers": list(learner.actor.net.layer_sizes),
         "critic_layers": list(learner.critics.q1.layer_sizes),
-        "n_updates": learner.n_updates,
-        "episodes_received": trainer.episodes_received,
-        "transitions_received": trainer.transitions_received,
-        "pending_updates": trainer.pending_updates,
-        "snapshot_version": trainer.snapshot_version,
-        "fpi_train_calls": trainer.fpi_train_calls,
-        "fpi_stats.count": trainer.fpi.stats.count,
-        "replay.size": n,
-        "replay.cursor": replay.cursor,
-        "replay.inserted_total": replay.inserted_total,
+        **{key: operator.attrgetter(attr)(trainer) for key, attr in COUNTERS.items()},
         "master_rng": trainer.master_rng.bit_generator.state,
-        "adam": adam_meta,
+        "adam": {f"{prefix}.steps": state.step_count for prefix, state in optimizers.items()},
     }
     for w in trainer._workers:
         meta[f"worker{w.worker_id}_rng"] = w.rng.bit_generator.state
@@ -394,8 +413,10 @@ def save_checkpoint(trainer: Trainer, path) -> None:
 
 def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     """Rebuild a trainer from a checkpoint. Structural mismatches against the
-    supplied config raise :class:`nn.CheckpointError` before the trainer, and
-    with it the logs in ``out_dir``, is created."""
+    supplied config raise :class:`nn.CheckpointError` before the trainer is
+    created. With ``out_dir``, the run's logs there keep their header and the
+    checkpoint's ``episodes_received`` rows and are appended to; a log with
+    fewer rows raises :class:`nn.CheckpointError` before either is written."""
     meta, arrays = nn.read_checkpoint(path)
     robot = world.RobotSpec(**meta["robot"])
     actor_layers = [world.observation_dim(robot), *config.hidden, 2 * ACT_DIM]
@@ -416,49 +437,39 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     if worker_rngs and len(worker_rngs) != config.workers:
         raise nn.CheckpointError(
             f"worker count mismatch: checkpoint {len(worker_rngs)} vs config {config.workers}")
-    trainer = Trainer(config, seed=int(meta["seed"]), out_dir=out_dir, robot=robot,
+    trainer = Trainer(config, seed=int(meta["seed"]), robot=robot,
                       dolly=world.DollySpec(**meta["dolly"]))
-    learner = trainer.learner
-    for prefix, net in (("actor", learner.actor.net), ("q1", learner.critics.q1),
-                        ("q2", learner.critics.q2), ("tq1", learner.critics.target_q1),
-                        ("tq2", learner.critics.target_q2), ("fpi", trainer.fpi.net)):
+    learner, replay = trainer.learner, trainer.replay
+    for prefix, net in _networks(trainer).items():
         nn.load_net_arrays(net, prefix, arrays)
     learner._alpha_param[0][...] = arrays["log_alpha"]
     learner.log_alpha = float(arrays["log_alpha"][0])
-    for prefix, st in (("adam_actor", learner.adam_actor), ("adam_q1", learner.adam_q1),
-                       ("adam_q2", learner.adam_q2), ("adam_alpha", learner.adam_alpha),
-                       ("adam_fpi", trainer.fpi.adam)):
-        _load_adam(prefix, st, arrays, meta["adam"])
-    trainer.fpi.stats.count = int(meta["fpi_stats.count"])
+    for prefix, state in _optimizers(trainer).items():
+        for i in range(len(state.m)):
+            state.m[i][...] = arrays[f"{prefix}.m{i}"]
+            state.v[i][...] = arrays[f"{prefix}.v{i}"]
+        state.step_count = int(meta["adam"][f"{prefix}.steps"])
     trainer.fpi.stats.mean = arrays["fpi_stats.mean"].copy()
     trainer.fpi.stats.m2 = arrays["fpi_stats.m2"].copy()
-
-    replay = trainer.replay
     if n:
-        replay.obs[:n] = arrays["replay.obs"]
-        replay.next_obs[:n] = arrays["replay.next_obs"]
-        replay.actions[:n] = arrays["replay.actions"]
-        replay.rewards[:n] = arrays["replay.rewards"]
-        replay.terminals[:n] = arrays["replay.terminals"]
-        replay.worker_ids[:n] = arrays["replay.worker_ids"]
+        for name in REPLAY_ARRAYS:
+            getattr(replay, name)[:n] = arrays[f"replay.{name}"]
         replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
-    replay.size = n
-    replay.cursor = cursor
-    replay.inserted_total = int(meta["replay.inserted_total"])
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
         labels = arrays["pending_labels"]
         trainer.result_set = [(feats[i].copy(), float(labels[i])) for i in range(len(labels))]
-    trainer.learner.n_updates = int(meta["n_updates"])
-    trainer.episodes_received = int(meta["episodes_received"])
-    trainer.transitions_received = int(meta["transitions_received"])
-    trainer.pending_updates = float(meta["pending_updates"])
-    trainer.snapshot_version = int(meta["snapshot_version"])
-    trainer.fpi_train_calls = int(meta["fpi_train_calls"])
+    for key, attr in COUNTERS.items():
+        owner, _, name = attr.rpartition(".")
+        obj = operator.attrgetter(owner)(trainer) if owner else trainer
+        setattr(obj, name, type(getattr(obj, name))(meta[key]))  # the fresh trainer's type
     trainer.master_rng.bit_generator.state = _rng_state(meta["master_rng"])
     for i, state in enumerate(worker_rngs):
         trainer._workers.append(Worker(i, trainer.seed, trainer))
         trainer._workers[i].rng.bit_generator.state = _rng_state(state)
+    if out_dir:
+        trainer.out_dir = Path(out_dir)
+        trainer._open_logs(keep_rows=trainer.episodes_received)
     return trainer
 
 

@@ -50,9 +50,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "yaw", wrap_angle(self.yaw))
 
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class RobotSpec:

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from docknav import curriculum, orchestrator, world
 from docknav.config import RunConfig
 from docknav.nn import CheckpointError
 from docknav.orchestrator import (
@@ -94,6 +95,24 @@ def test_pool_scores_match_single_row_evaluation():
     single = np.array([worker._evaluate_task(task).prediction for task in pool])
     assert batched.shape == (40,)
     assert np.max(np.abs(batched - single)) <= 1e-6
+
+
+def test_fresh_worker_scores_with_learner_networks():
+    trainer = make_trainer()
+    worker = Worker(0, trainer.seed, trainer)
+    pool = [worker._sample_task() for _ in range(10)]
+    lidar, frames = world.start_scans([task.config for task in pool], trainer.robot,
+                                      trainer.dolly)
+    obs = world.start_observations(lidar, frames, trainer.dtype)
+    q0 = curriculum.initial_q_features(trainer.learner.critics.q1, trainer.learner.actor, obs)
+    features = np.stack([world.geometric_properties(task, q) for task, q in zip(pool, q0)])
+    assert np.array_equal(worker._score_pool(pool), trainer.fpi.predict(features))
+
+
+def test_worker_holds_no_network_copies():
+    trainer = Trainer(tiny_config(hidden=(128, 128), dtype="float32"), seed=1, robot=RobotSpec())
+    _, peak = traced_peak(Worker, 0, trainer.seed, trainer)
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -203,19 +222,26 @@ def test_random_starts_variant_bypasses_curriculum(tmp_path):
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
-    trainer = make_trainer(episode_budget=4, batch_size=8)
-    trainer.train()
-    path = tmp_path / "state.ckpt"
-    save_checkpoint(trainer, path)
-    restored = restore_checkpoint(path, tiny_config(episode_budget=4, batch_size=8))
-    assert actor_bytes(trainer) == actor_bytes(restored)
-    for a, b in zip(trainer.learner.critics.q1.parameters(),
-                    restored.learner.critics.q1.parameters()):
-        assert np.array_equal(a, b)
-    assert restored.learner.n_updates == trainer.learner.n_updates
-    assert restored.episodes_received == trainer.episodes_received
-    assert len(restored.replay) == len(trainer.replay)
-    assert np.array_equal(restored.replay.tree.nodes, trainer.replay.tree.nodes)
+    for workers in (1, 3):
+        # stopped mid-run (with 3 workers, mid-turn)
+        config = tiny_config(episode_budget=6, batch_size=8, workers=workers)
+        trainer = Trainer(config, seed=1, robot=TINY_ROBOT)
+        trainer.train(max_new_episodes=4)
+        path = tmp_path / f"state{workers}.ckpt"
+        save_checkpoint(trainer, path)
+        restored = restore_checkpoint(path, config)
+        assert actor_bytes(trainer) == actor_bytes(restored)
+        for a, b in zip(trainer.learner.critics.q1.parameters(),
+                        restored.learner.critics.q1.parameters()):
+            assert np.array_equal(a, b)
+        assert restored.learner.n_updates == trainer.learner.n_updates
+        assert restored.episodes_received == trainer.episodes_received
+        assert len(restored.replay) == len(trainer.replay)
+        assert np.array_equal(restored.replay.tree.nodes, trainer.replay.tree.nodes)
+        # save, restore, save again: the same bytes
+        again = tmp_path / f"again{workers}.ckpt"
+        save_checkpoint(restored, again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_restores_whole_sum_tree(tmp_path):
@@ -250,20 +276,55 @@ def test_restore_then_updates_matches_uninterrupted(tmp_path):
 @pytest.mark.parametrize("workers, interrupt_at", [(1, 3), (3, 4)])
 def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
     # uninterrupted: 6 episodes in one go
-    full = make_trainer(episode_budget=6, batch_size=8, workers=workers)
+    full = make_trainer(out_dir=tmp_path / "full", episode_budget=6, batch_size=8,
+                        workers=workers)
     full.train()
-    # interrupted: checkpoint mid-run (with 3 workers, mid-turn), restore, finish
-    first = make_trainer(episode_budget=6, batch_size=8, workers=workers)
+    # interrupted: checkpoint mid-run (with 3 workers, mid-turn), restore into
+    # the same run directory, finish
+    out = tmp_path / "resumed"
+    first = make_trainer(out_dir=out, episode_budget=6, batch_size=8, workers=workers)
     first.train(max_new_episodes=interrupt_at)
     path = tmp_path / "resume.ckpt"
     save_checkpoint(first, path)
     second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8,
-                                                  workers=workers))
+                                                  workers=workers), out_dir=out)
     second.train()
     assert second.episodes_received == 6
     assert actor_bytes(full) == actor_bytes(second)
     n = len(full.replay)
     assert second.replay.worker_ids[:n].tolist() == full.replay.worker_ids[:n].tolist()
+    for name in ("telemetry.csv", "curriculum.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_resume_rejects_logs_shorter_than_checkpoint(tmp_path):
+    out = tmp_path / "run"
+    trainer = make_trainer(out_dir=out, episode_budget=3, batch_size=8)
+    trainer.train()
+    path = out / "final.ckpt"
+    save_checkpoint(trainer, path)
+    curriculum_log = out / "curriculum.csv"
+    curriculum_log.write_bytes(b"".join(curriculum_log.read_bytes().splitlines(True)[:3]))
+    logs = {name: (out / name).read_bytes() for name in ("telemetry.csv", "curriculum.csv")}
+    with pytest.raises(CheckpointError, match="2 rows, fewer than the checkpoint's 3"):
+        restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8), out_dir=out)
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+def test_logs_flushed_before_periodic_checkpoint(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    rows_at_save = []
+    save = orchestrator.save_checkpoint
+
+    def counting_save(trainer, path):
+        rows_at_save.append([len((out / name).read_bytes().splitlines()) - 1
+                             for name in ("telemetry.csv", "curriculum.csv")])
+        save(trainer, path)
+
+    monkeypatch.setattr(orchestrator, "save_checkpoint", counting_save)
+    trainer = make_trainer(out_dir=out, episode_budget=4, batch_size=8, checkpoint_interval=2)
+    trainer.train()
+    assert rows_at_save == [[2, 2], [4, 4]]
 
 
 def test_corrupted_checkpoint_rejected(tmp_path):
