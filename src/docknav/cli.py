@@ -46,11 +46,7 @@ def cmd_eval_grid(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     actor = orchestrator.actor_from_checkpoint(args.checkpoint, dtype=np.dtype(cfg.dtype))
-    grid_cfg = grid_eval.GridEvalConfig(
-        grid_extent=cfg.grid_extent, grid_cell=cfg.grid_cell,
-        orientations_deg=cfg.orientations_deg, repeats=cfg.repeats,
-        grid_offset=cfg.grid_offset, room_side=cfg.eval_room_side,
-    )
+    grid_cfg = cfg.to_grid_eval_config()
     policy = lambda obs: actor.act(obs, mode="mean")[0]  # noqa: E731
     result = grid_eval.run_grid_eval(
         policy, grid_cfg, out_dir=out, step_limit=cfg.step_limit,

@@ -1,9 +1,16 @@
 """Run configuration: an INI file with one section per subsystem.
 
 Every key has a default (paper values where the paper provides one), unknown
-sections or keys are rejected, and validation reports *all* violations at
-once. ``echo_config`` writes the effective configuration back out in a form
-that parses to an identical object.
+sections or keys and non-finite numbers are rejected, and validation reports
+*all* violations at once. Values are read raw: ``%`` is an ordinary character.
+``echo_config`` writes the effective configuration back out in a form that
+parses to an identical object.
+
+``RunConfig``'s fields are the only declaration of the keys. To add a key, add
+one field to its section's block in ``RunConfig``; its annotation (``int``,
+``float``, ``str``, ``tuple[int, ...]`` or ``tuple[float, ...]``) chooses the
+parser. A domain config receives every field of the same name through its
+``to_*`` builder.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .curriculum import NavAclConfig
+from .grid_eval import GridEvalConfig
 from .per import PerConfig
 from .sac import SacConfig
 from .world import TaskBounds
@@ -104,41 +112,27 @@ class RunConfig:
             start_anchor_y=self.start_anchor_y,
         )
 
+    def _build(self, cls, **renames):
+        """``cls`` with every field copied from the ``RunConfig`` field of the
+        same name; ``renames`` maps a ``cls`` field to a differently named one."""
+        return cls(**{f.name: getattr(self, renames.get(f.name, f.name)) for f in fields(cls)})
+
     def to_sac_config(self) -> SacConfig:
-        return SacConfig(
-            gamma=self.gamma, critic_lr=self.critic_lr, actor_lr=self.actor_lr,
-            alpha_lr=self.alpha_lr, initial_alpha=self.initial_alpha,
-            target_entropy=self.target_entropy,
-            target_update_interval=self.target_update_interval,
-            batch_size=self.batch_size, hidden=self.hidden,
-            log_std_min=self.log_std_min, log_std_max=self.log_std_max,
-            tanh_eps=self.tanh_eps,
-        )
+        return self._build(SacConfig)
 
     def to_per_config(self) -> PerConfig:
-        return PerConfig(
-            priority_exponent=self.priority_exponent,
-            is_exponent_start=self.is_exponent_start,
-            is_exponent_end=self.is_exponent_end,
-            priority_floor=self.priority_floor,
-        )
+        return self._build(PerConfig)
 
     def to_navacl_config(self) -> NavAclConfig:
-        return NavAclConfig(
-            easy_band=self.easy_band, frontier_band=self.frontier_band,
-            easy_threshold=self.easy_threshold, max_trials=self.max_trials,
-            batch_size=self.result_batch_size, learning_rate=self.fpi_lr,
-            candidate_pool=self.candidate_pool, p_easy=self.p_easy,
-            p_frontier=self.p_frontier, p_random=self.p_random,
-        )
+        # batch_size is also a [sac] key; the curriculum's comes from its own section
+        return self._build(NavAclConfig, batch_size="result_batch_size", learning_rate="fpi_lr")
+
+    def to_grid_eval_config(self) -> GridEvalConfig:
+        return self._build(GridEvalConfig, room_side="eval_room_side")
 
 
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _parse_tuple(element):
+    return lambda text: tuple(element(tok) for tok in text.replace(",", " ").split())
 
 
 def _fmt(value) -> str:
@@ -147,76 +141,28 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    "int_tuple": _parse_int_tuple,
-    "float_tuple": _parse_float_tuple,
-}
+# Parser by field annotation, a string under ``from __future__ import annotations``.
+_PARSERS = {"int": int, "float": float, "str": str,
+            "tuple[int, ...]": _parse_tuple(int), "tuple[float, ...]": _parse_tuple(float)}
 
-# (section, key=field name, parser tag)
-_SCHEMA: list[tuple[str, str, object]] = [
-    ("run", "variant", str),
-    ("run", "seeds", "int_tuple"),
-    ("run", "episode_budget", int),
-    ("run", "workers", int),
-    ("run", "wall_clock_limit", float),
-    ("run", "updates_per_episode", int),
-    ("run", "replay_capacity", int),
-    ("run", "dtype", str),
-    ("run", "step_limit", int),
-    ("run", "checkpoint_interval", int),
-    ("world", "room_min", float),
-    ("world", "room_max", float),
-    ("world", "distance_min", float),
-    ("world", "distance_max", float),
-    ("world", "bearing_half_angle_deg", float),
-    ("world", "relative_yaw_half_deg", float),
-    ("world", "dolly_yaw_half_deg", float),
-    ("world", "obstacle_count_min", int),
-    ("world", "obstacle_count_max", int),
-    ("world", "obstacle_distance_min", float),
-    ("world", "obstacle_distance_max", float),
-    ("world", "obstacle_side_min", float),
-    ("world", "obstacle_side_max", float),
-    ("world", "position_jitter", float),
-    ("world", "start_anchor_y", float),
-    ("sac", "gamma", float),
-    ("sac", "critic_lr", float),
-    ("sac", "actor_lr", float),
-    ("sac", "alpha_lr", float),
-    ("sac", "initial_alpha", float),
-    ("sac", "target_entropy", float),
-    ("sac", "target_update_interval", int),
-    ("sac", "batch_size", int),
-    ("sac", "hidden", "int_tuple"),
-    ("sac", "log_std_min", float),
-    ("sac", "log_std_max", float),
-    ("sac", "tanh_eps", float),
-    ("per", "priority_exponent", float),
-    ("per", "is_exponent_start", float),
-    ("per", "is_exponent_end", float),
-    ("per", "priority_floor", float),
-    ("curriculum", "easy_band", float),
-    ("curriculum", "frontier_band", float),
-    ("curriculum", "easy_threshold", float),
-    ("curriculum", "max_trials", int),
-    ("curriculum", "result_batch_size", int),
-    ("curriculum", "fpi_lr", float),
-    ("curriculum", "candidate_pool", int),
-    ("curriculum", "p_easy", float),
-    ("curriculum", "p_frontier", float),
-    ("curriculum", "p_random", float),
-    ("eval", "grid_extent", float),
-    ("eval", "grid_cell", float),
-    ("eval", "orientations_deg", "float_tuple"),
-    ("eval", "repeats", int),
-    ("eval", "grid_offset", float),
-    ("eval", "eval_room_side", float),
-]
+# The first field of each section's block in RunConfig; every later field
+# belongs to the section of the nearest start above it.
+_SECTION_STARTS = {"variant": "run", "room_min": "world", "gamma": "sac",
+                   "priority_exponent": "per", "easy_band": "curriculum", "grid_extent": "eval"}
 
-_FIELD_SECTION = {key: section for section, key, _ in _SCHEMA}
+
+def _derive_keys(cls) -> list[tuple[str, str, object]]:
+    """(section, key, parser) for every field of ``cls``, in field order."""
+    keys, section = [], None
+    for f in fields(cls):
+        section = _SECTION_STARTS.get(f.name, section)
+        if f.type not in _PARSERS:
+            raise TypeError(f"{cls.__name__}.{f.name}: no parser for annotation {f.type!r}")
+        keys.append((section, f.name, _PARSERS[f.type]))
+    return keys
+
+
+_KEYS = _derive_keys(RunConfig)
 
 
 def _validate(cfg: RunConfig) -> list[str]:
@@ -226,13 +172,20 @@ def _validate(cfg: RunConfig) -> list[str]:
         if not ok:
             errors.append(msg)
 
+    for section, key, _ in _KEYS:
+        value = getattr(cfg, key)
+        values = value if isinstance(value, tuple) else (value,)
+        check(all(math.isfinite(v) for v in values if isinstance(v, float)),
+              f"{section}.{key} must be finite")
+
     check(cfg.variant in ("navacl_q", "random_starts"),
           f"run.variant must be navacl_q or random_starts, got {cfg.variant!r}")
     check(len(cfg.seeds) >= 1, "run.seeds must list at least one seed")
     check(cfg.episode_budget >= 1, "run.episode_budget must be >= 1")
     check(cfg.workers >= 1, "run.workers must be >= 1")
     check(cfg.updates_per_episode >= 0, "run.updates_per_episode must be >= 0")
-    check(cfg.replay_capacity >= 1 and cfg.replay_capacity & (cfg.replay_capacity - 1) == 0,
+    check(isinstance(cfg.replay_capacity, int) and cfg.replay_capacity >= 1
+          and cfg.replay_capacity & (cfg.replay_capacity - 1) == 0,
           "run.replay_capacity must be a power of two")
     check(cfg.dtype in ("float32", "float64"), "run.dtype must be float32 or float64")
     check(cfg.step_limit >= 1, "run.step_limit must be >= 1")
@@ -275,9 +228,9 @@ def _validate(cfg: RunConfig) -> list[str]:
 
     check(cfg.grid_extent > 0, "eval.grid_extent must be positive")
     check(cfg.grid_cell > 0, "eval.grid_cell must be positive")
-    if cfg.grid_cell > 0:
+    if cfg.grid_cell > 0 and math.isfinite(cfg.grid_extent):
         ratio = cfg.grid_extent / cfg.grid_cell
-        check(abs(ratio - round(ratio)) < 1e-9,
+        check(math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9,
               "eval.grid_extent must be an integer multiple of eval.grid_cell")
     check(len(cfg.orientations_deg) >= 1, "eval.orientations_deg must list at least one angle")
     check(cfg.repeats >= 1, "eval.repeats must be >= 1")
@@ -295,7 +248,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     """Load an INI run configuration; an empty file yields all defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -306,19 +259,19 @@ def parse_config(path) -> RunConfig:
 
     cfg = RunConfig()
     errors = []
-    known = {(s, k): parse for s, k, parse in _SCHEMA}
-    valid_sections = {s for s, _, _ in _SCHEMA}
+    known = {(s, k): parse for s, k, parse in _KEYS}
+    valid_sections = {s for s, _, _ in _KEYS}
     for section in parser.sections():
         if section not in valid_sections:
             errors.append(f"unknown section [{section}]")
             continue
         for key, raw in parser.items(section):
-            tag = known.get((section, key))
-            if tag is None:
+            parse = known.get((section, key))
+            if parse is None:
                 errors.append(f"unknown key {section}.{key}")
                 continue
             try:
-                setattr(cfg, key, _PARSERS[tag](raw))
+                setattr(cfg, key, parse(raw))
             except (TypeError, ValueError):
                 errors.append(f"{section}.{key}: cannot parse {raw!r}")
     errors.extend(_validate(cfg))
@@ -330,8 +283,8 @@ def parse_config(path) -> RunConfig:
 def echo_config(cfg: RunConfig, path) -> None:
     """Write the full effective configuration; parsing it back reproduces
     ``cfg`` exactly."""
-    parser = configparser.ConfigParser()
-    for section, key, _ in _SCHEMA:
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, key, _ in _KEYS:
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, _fmt(getattr(cfg, key)))

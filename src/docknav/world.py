@@ -341,7 +341,6 @@ class World:
         self.pose = self.config.robot_start
         self.t = 0
         self.terminal = False
-        self._last_flags = EventFlags()
         if self._start_scan is None:  # the start pose never changes: cast it once
             self._start_scan = self._scan()
         lidar, frame = self._start_scan
@@ -377,7 +376,6 @@ class World:
         flags = EventFlags(goal, collision_dolly, collision_other, v < SLOW_SPEED)
         reward = compute_reward(flags, v)
         self.terminal = goal or collision_dolly or collision_other or self.t >= self.step_limit
-        self._last_flags = flags
 
         lidar, frame = self._scan()
         self._frames = self._frames[1:] + [frame]

@@ -68,11 +68,16 @@ def test_train_then_eval_grid_and_histograms(tiny_ini, tmp_path, capsys):
 
 
 def test_invalid_config_exits_nonzero(tmp_path, capsys):
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[sac]\ngamma = 2.0\n")
-    rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
-    assert rc == 2
-    assert "gamma" in capsys.readouterr().err
+    for text, key in (("[sac]\ngamma = 2.0\n", "gamma"),
+                      ("[eval]\ngrid_extent = inf\n", "grid_extent"),
+                      ("[eval]\ngrid_extent = nan\n", "grid_extent"),
+                      ("[sac]\ntarget_entropy = nan\n", "target_entropy"),
+                      ("[run]\nvariant = 50%\n", "variant")):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(text)
+        rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2, text
+        assert key in capsys.readouterr().err, text
 
 
 def test_missing_checkpoint_exits_nonzero(tmp_path, capsys):

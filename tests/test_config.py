@@ -1,5 +1,8 @@
+from dataclasses import dataclass, fields
+
 import pytest
 
+from docknav import config
 from docknav.config import ConfigError, RunConfig, config_overrides, echo_config, parse_config
 
 
@@ -52,12 +55,12 @@ def test_unknown_keys_rejected_and_all_errors_listed(tmp_path):
     path.write_text(
         "[run]\nbogus_key = 1\nworkers = 0\n"
         "[nonsense]\nx = 2\n"
-        "[sac]\ngamma = -0.5\n"
+        "[sac]\ngamma = -0.5\nworkers = 2\n"
     )
     with pytest.raises(ConfigError) as err:
         parse_config(path)
     message = str(err.value)
-    for fragment in ("bogus_key", "workers", "nonsense", "gamma"):
+    for fragment in ("bogus_key", "workers", "nonsense", "gamma", "unknown key sac.workers"):
         assert fragment in message
 
 
@@ -109,8 +112,52 @@ def test_overrides_validated():
         config_overrides(cfg, workers=0)
     with pytest.raises(ConfigError):
         config_overrides(cfg, nonexistent=1)
+    with pytest.raises(ConfigError, match="replay_capacity must be finite"):
+        config_overrides(cfg, replay_capacity=float("inf"))
 
 
 def test_missing_file_reported():
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config("/nonexistent/path.ini")
+
+
+_FINITE_KEYS = [(section, f.name) for (section, _, _), f in zip(config._KEYS, fields(RunConfig))
+                if f.type in ("float", "tuple[float, ...]")]
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("section,key", _FINITE_KEYS)
+def test_non_finite_value_rejected(tmp_path, section, key, text):
+    path = tmp_path / "bad.ini"
+    value = f"0, {text}" if key == "orientations_deg" else text
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
+        parse_config(path)
+    parsed = {k: parse for _, k, parse in config._KEYS}[key](value)
+    with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
+        config_overrides(RunConfig(), **{key: parsed})
+
+
+def test_sections_follow_field_blocks():
+    sections = [section for section, _, _ in config._KEYS]
+    assert list(dict.fromkeys(sections)) == ["run", "world", "sac", "per", "curriculum", "eval"]
+    by_key = {key: section for section, key, _ in config._KEYS}
+    assert (by_key["checkpoint_interval"], by_key["start_anchor_y"], by_key["tanh_eps"],
+            by_key["priority_floor"], by_key["p_random"]) == ("run", "world", "sac", "per", "curriculum")
+
+
+def test_unsupported_annotation_fails():
+    @dataclass
+    class Bad:
+        variant: list[int]
+
+    with pytest.raises(TypeError, match="Bad.variant"):
+        config._derive_keys(Bad)
+
+
+def test_builders_take_renamed_fields():
+    cfg = RunConfig(batch_size=64, result_batch_size=8, fpi_lr=1e-3, eval_room_side=20.0)
+    navacl = cfg.to_navacl_config()
+    assert (navacl.batch_size, navacl.learning_rate) == (8, 1e-3)
+    assert cfg.to_sac_config().batch_size == 64
+    assert cfg.to_grid_eval_config().room_side == 20.0
