@@ -2,15 +2,16 @@
 
 Every key has a default (paper values where the paper provides one), unknown
 sections or keys and non-finite numbers are rejected, and validation reports
-*all* violations at once. Values are read raw: ``%`` is an ordinary character.
+*all* violations at once (range checks run once every value has its field's
+type). Values are read raw: ``%`` is an ordinary character.
 ``echo_config`` writes the effective configuration back out in a form that
 parses to an identical object.
 
 ``RunConfig``'s fields are the only declaration of the keys. To add a key, add
 one field to its section's block in ``RunConfig``; its annotation (``int``,
 ``float``, ``str``, ``tuple[int, ...]`` or ``tuple[float, ...]``) chooses the
-parser. A domain config receives every field of the same name through its
-``to_*`` builder.
+parser and the type every value must have. A domain config receives every
+field of the same name through its ``to_*`` builder.
 """
 
 from __future__ import annotations
@@ -141,9 +142,22 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# Parser by field annotation, a string under ``from __future__ import annotations``.
+def _is(kinds):
+    """Type check of a scalar value; a bool is no number."""
+    return lambda value: isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_tuple_of(is_element):
+    return lambda value: isinstance(value, tuple) and all(is_element(v) for v in value)
+
+
+# Parser and type check by field annotation, a string under
+# ``from __future__ import annotations``.
 _PARSERS = {"int": int, "float": float, "str": str,
             "tuple[int, ...]": _parse_tuple(int), "tuple[float, ...]": _parse_tuple(float)}
+_IS_TYPE = {"int": _is(int), "float": _is((int, float)), "str": _is(str),
+            "tuple[int, ...]": _is_tuple_of(_is(int)),
+            "tuple[float, ...]": _is_tuple_of(_is((int, float)))}
 
 # The first field of each section's block in RunConfig; every later field
 # belongs to the section of the nearest start above it.
@@ -151,14 +165,14 @@ _SECTION_STARTS = {"variant": "run", "room_min": "world", "gamma": "sac",
                    "priority_exponent": "per", "easy_band": "curriculum", "grid_extent": "eval"}
 
 
-def _derive_keys(cls) -> list[tuple[str, str, object]]:
-    """(section, key, parser) for every field of ``cls``, in field order."""
+def _derive_keys(cls) -> list[tuple[str, str, str]]:
+    """(section, key, annotation) for every field of ``cls``, in field order."""
     keys, section = [], None
     for f in fields(cls):
         section = _SECTION_STARTS.get(f.name, section)
         if f.type not in _PARSERS:
             raise TypeError(f"{cls.__name__}.{f.name}: no parser for annotation {f.type!r}")
-        keys.append((section, f.name, _PARSERS[f.type]))
+        keys.append((section, f.name, f.type))
     return keys
 
 
@@ -172,11 +186,16 @@ def _validate(cfg: RunConfig) -> list[str]:
         if not ok:
             errors.append(msg)
 
-    for section, key, _ in _KEYS:
+    wrong_type = []
+    for section, key, annotation in _KEYS:
         value = getattr(cfg, key)
         values = value if isinstance(value, tuple) else (value,)
         check(all(math.isfinite(v) for v in values if isinstance(v, float)),
               f"{section}.{key} must be finite")
+        if not _IS_TYPE[annotation](value):
+            wrong_type.append(f"{section}.{key} must be {annotation}")
+    if wrong_type:  # every check below assumes each value has its field's type
+        return errors + wrong_type
 
     check(cfg.variant in ("navacl_q", "random_starts"),
           f"run.variant must be navacl_q or random_starts, got {cfg.variant!r}")
@@ -184,8 +203,7 @@ def _validate(cfg: RunConfig) -> list[str]:
     check(cfg.episode_budget >= 1, "run.episode_budget must be >= 1")
     check(cfg.workers >= 1, "run.workers must be >= 1")
     check(cfg.updates_per_episode >= 0, "run.updates_per_episode must be >= 0")
-    check(isinstance(cfg.replay_capacity, int) and cfg.replay_capacity >= 1
-          and cfg.replay_capacity & (cfg.replay_capacity - 1) == 0,
+    check(cfg.replay_capacity >= 1 and cfg.replay_capacity & (cfg.replay_capacity - 1) == 0,
           "run.replay_capacity must be a power of two")
     check(cfg.dtype in ("float32", "float64"), "run.dtype must be float32 or float64")
     check(cfg.step_limit >= 1, "run.step_limit must be >= 1")
@@ -259,7 +277,7 @@ def parse_config(path) -> RunConfig:
 
     cfg = RunConfig()
     errors = []
-    known = {(s, k): parse for s, k, parse in _KEYS}
+    known = {(s, k): _PARSERS[annotation] for s, k, annotation in _KEYS}
     valid_sections = {s for s, _, _ in _KEYS}
     for section in parser.sections():
         if section not in valid_sections:

@@ -39,12 +39,12 @@ CURRICULUM_FIELDS = ["episode", "task_type", "distance", "agent_clearance", "goa
 
 class Candidate(NamedTuple):
     """A task with its curriculum features, its success prediction and its
-    t=0 (lidar, frame) scan, which the rollout reuses."""
+    t=0 observation, which the rollout reuses."""
 
     task: world.Task
     features: np.ndarray
     prediction: float
-    start_scan: tuple[np.ndarray, np.ndarray]
+    observation: np.ndarray
 
 
 class Worker:
@@ -69,24 +69,23 @@ class Worker:
         return world.sample_task(self.rng, self.trainer.task_bounds,
                                  self.trainer.robot, self.trainer.dolly)
 
-    def _start_observations(self, tasks: list[world.Task]):
+    def _start_observations(self, tasks: list[world.Task]) -> np.ndarray:
         t = self.trainer
-        lidar, frames = world.start_scans([task.config for task in tasks], t.robot, t.dolly)
-        return lidar, frames, world.start_observations(lidar, frames, t.dtype)
+        return world.start_observations([task.config for task in tasks], t.robot, t.dolly,
+                                        t.dtype)
 
     def _evaluate_task(self, task: world.Task) -> Candidate:
         """Five curriculum features (with the critic's initial-Q) and the
         success prediction for one candidate task, one row at a time."""
-        lidar, frames, obs = self._start_observations([task])
-        q0 = cur.initial_q_feature(self.q1, self.actor, obs[0])
+        obs = self._start_observations([task])[0]
+        q0 = cur.initial_q_feature(self.q1, self.actor, obs)
         features = world.geometric_properties(task, q0)
-        return Candidate(task, features, self.fpi.predict_one(features), (lidar[0], frames[0]))
+        return Candidate(task, features, self.fpi.predict_one(features), obs)
 
     def _score_pool(self, pool: list[world.Task]) -> np.ndarray:
         """Success predictions for a whole candidate pool: one actor, one
         critic and one predictor forward."""
-        _, _, obs = self._start_observations(pool)
-        q0 = cur.initial_q_features(self.q1, self.actor, obs)
+        q0 = cur.initial_q_features(self.q1, self.actor, self._start_observations(pool))
         return self.fpi.predict(np.stack([world.geometric_properties(task, q)
                                           for task, q in zip(pool, q0)]))
 
@@ -107,7 +106,7 @@ class Worker:
     def rollout(self, chosen: Candidate):
         t = self.trainer
         w = world.World(chosen.task.config, t.robot, t.dolly, t.step_limit, t.dtype,
-                        start_scan=chosen.start_scan)
+                        start_observation=chosen.observation)
         obs = [w.observation()]
         actions, rewards, terminals = [], [], []
         flags = None

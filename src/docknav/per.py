@@ -37,8 +37,9 @@ class SumTree:
     """Fixed-capacity binary tree of prefix sums (plus per-node maxima).
 
     Leaves live at indices [capacity-1, 2*capacity-1) of a flat array; every
-    internal node stores the sum of its children. ``find_prefix`` descends in
-    O(log n); batched descent is vectorized for the sampling hot path.
+    internal node stores the sum of its children. ``find_prefix_batch``
+    descends from the root for a whole batch of values at once, in O(log n)
+    vectorized steps.
     """
 
     def __init__(self, capacity: int):
@@ -96,19 +97,8 @@ class SumTree:
                 break
             parents = np.unique((parents - 1) // 2)
 
-    def find_prefix(self, value: float) -> int:
-        """Smallest leaf index whose cumulative sum reaches ``value``."""
-        i = 0
-        while i < self.capacity - 1:
-            left = 2 * i + 1
-            if value <= self.nodes[left]:
-                i = left
-            else:
-                value -= self.nodes[left]
-                i = left + 1
-        return i - (self.capacity - 1)
-
     def find_prefix_batch(self, values: np.ndarray) -> np.ndarray:
+        """For each value, the smallest leaf index whose cumulative sum reaches it."""
         idx = np.zeros(len(values), dtype=np.int64)
         values = values.copy()
         while idx[0] < self.capacity - 1:  # all indices share the same depth

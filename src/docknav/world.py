@@ -95,9 +95,6 @@ class Action:
     v: float
     omega: float
 
-    def clamped(self) -> "Action":
-        return Action(min(max(self.v, -1.0), 1.0), min(max(self.omega, -1.0), 1.0))
-
 
 @dataclass(frozen=True)
 class EventFlags:
@@ -173,18 +170,10 @@ def integrate_unicycle(pose: Pose, v: float, omega: float, dt: float = ACTION_DU
     return Pose(pose.x + v * dt * math.cos(pose.yaw), pose.y + v * dt * math.sin(pose.yaw), pose.yaw)
 
 
-def observation_dim(robot: RobotSpec | None = None) -> int:
-    robot = robot or RobotSpec()
-    return (
-        HISTORY_LEN * robot.semantic_rays * 2
-        + 2 * robot.lidar_beams_per_sensor
-        + HISTORY_LEN * 2
-        + HISTORY_LEN
-    )
-
-
 def observation_slices(robot: RobotSpec | None = None) -> dict[str, slice]:
-    """Layout of the flat observation vector (oldest history entries first)."""
+    """Layout of the flat observation vector. The observation is its own
+    history: the last ``HISTORY_LEN`` semantic frames, actions and rewards,
+    each block oldest first, around the newest LiDAR scan."""
     robot = robot or RobotSpec()
     n_sem = HISTORY_LEN * robot.semantic_rays * 2
     n_lidar = 2 * robot.lidar_beams_per_sensor
@@ -194,6 +183,10 @@ def observation_slices(robot: RobotSpec | None = None) -> dict[str, slice]:
         "actions": slice(n_sem + n_lidar, n_sem + n_lidar + HISTORY_LEN * 2),
         "rewards": slice(n_sem + n_lidar + HISTORY_LEN * 2, n_sem + n_lidar + HISTORY_LEN * 3),
     }
+
+
+def observation_dim(robot: RobotSpec | None = None) -> int:
+    return observation_slices(robot)["rewards"].stop
 
 
 def scene_segments(config: WorldConfig) -> np.ndarray:
@@ -256,21 +249,22 @@ class _RayFan:
 START_SCAN_CHUNK = 16  # tasks per batched cast: bounds its rays x segments temporaries
 
 
-def start_scans(configs, robot: RobotSpec | None = None,
-                dolly: DollySpec | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The t=0 sensing of many tasks, without building their worlds.
-
-    Returns ``(lidar, frames)`` of shapes (N, 2 * beams) and (N, rays, 2),
-    bit-identical to what ``World(config)`` casts at reset. Tasks go through
-    :func:`geometry.cast_rays` ``START_SCAN_CHUNK`` at a time, each chunk's
-    segment lists zero-padded to its longest; a zero-length segment is never
-    hit.
+def start_observations(configs, robot: RobotSpec | None = None,
+                       dolly: DollySpec | None = None, dtype=np.float64) -> np.ndarray:
+    """The t=0 observations of many tasks, (N, observation_dim), without
+    building their worlds. Each row is the start frame tiled over the frame
+    history, then the start LiDAR scan, then zero action and reward history;
+    row i is what ``World(configs[i], robot, dolly, dtype=dtype).reset()``
+    returns. Tasks go through :func:`geometry.cast_rays` ``START_SCAN_CHUNK``
+    at a time, each chunk's segment lists zero-padded to its longest; a
+    zero-length segment is never hit.
     """
     robot = robot or RobotSpec()
     dolly = dolly or DollySpec()
     fan = _RayFan(robot)
     radii = np.full(4, dolly.leg_radius)
-    lidar, frames = [], []
+    sl = observation_slices(robot)
+    obs = np.zeros((len(configs), sl["rewards"].stop), dtype)
     for lo in range(0, len(configs), START_SCAN_CHUNK):
         chunk = configs[lo:lo + START_SCAN_CHUNK]
         scenes = [scene_segments(cfg) for cfg in chunk]
@@ -281,27 +275,21 @@ def start_scans(configs, robot: RobotSpec | None = None,
         legs = np.stack([dolly.leg_centers(cfg.dolly_pose) for cfg in chunk])
         dist, is_leg = geometry.cast_rays(origins, dirs, segments, legs, radii,
                                           robot.lidar_max_range)
-        chunk_lidar, chunk_frames = fan.split(dist, is_leg)
-        lidar.append(chunk_lidar)
-        frames.append(chunk_frames)
-    return np.concatenate(lidar), np.concatenate(frames)
-
-
-def start_observations(lidar: np.ndarray, frames: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """The t=0 observations of :func:`start_scans` output, (N, observation_dim):
-    each frame replicated over the history, zero action and reward history.
-    Row i equals ``World(configs[i], dtype=dtype).observation()``."""
-    n = len(lidar)
-    history = np.zeros((n, HISTORY_LEN * 3))  # actions, then rewards
-    parts = [np.tile(frames.reshape(n, -1), HISTORY_LEN), lidar, history]
-    return np.concatenate(parts, axis=1).astype(dtype)
+        lidar, frames = fan.split(dist, is_leg)
+        rows = obs[lo:lo + len(chunk)]
+        rows[:, sl["semantic"]] = np.tile(frames.reshape(len(chunk), -1), HISTORY_LEN)
+        rows[:, sl["lidar"]] = lidar
+    return obs
 
 
 class World:
     """One docking episode. Single-owner, deterministic, no sensor noise.
 
     ``reset()`` returns the initial observation; ``step()`` advances 0.18 s.
-    Stepping after termination raises :class:`SimulationError`.
+    Stepping after termination raises :class:`SimulationError`. The
+    observation is the world's only history: each step shifts the previous
+    one's frame, action and reward blocks by one entry (see
+    :func:`observation_slices`).
     """
 
     def __init__(
@@ -312,10 +300,10 @@ class World:
         step_limit: int = DEFAULT_STEP_LIMIT,
         dtype=np.float64,
         record_trajectory: bool = False,
-        start_scan: tuple[np.ndarray, np.ndarray] | None = None,
+        start_observation: np.ndarray | None = None,
     ):
-        """``start_scan``, when given, is this config's row of
-        :func:`start_scans`; the world then skips its own t=0 cast."""
+        """``start_observation``, when given, is this config's row of
+        :func:`start_observations`; the world then skips its own t=0 cast."""
         self.config = config
         self.robot = robot or RobotSpec()
         self.dolly = dolly or DollySpec()
@@ -323,8 +311,11 @@ class World:
         self.step_limit = step_limit
         self.dtype = np.dtype(dtype)
         self.record_trajectory = record_trajectory
-        self._start_scan = start_scan
         self._build_static_geometry()
+        if start_observation is None:  # the start pose never changes: cast it once
+            start_observation = start_observations([config], self.robot, self.dolly, self.dtype)[0]
+        self._start_obs = start_observation.view()  # every reset hands out this array
+        self._start_obs.flags.writeable = False
         self.reset()
 
     # -- static scene -------------------------------------------------
@@ -334,6 +325,7 @@ class World:
         self._leg_centers = self.dolly.leg_centers(self.config.dolly_pose)
         self._leg_radii = np.full(4, self.dolly.leg_radius)
         self._fan = _RayFan(self.robot)
+        self._slices = observation_slices(self.robot)
 
     # -- episode lifecycle --------------------------------------------
 
@@ -341,16 +333,10 @@ class World:
         self.pose = self.config.robot_start
         self.t = 0
         self.terminal = False
-        if self._start_scan is None:  # the start pose never changes: cast it once
-            self._start_scan = self._scan()
-        lidar, frame = self._start_scan
-        self._frames = [frame] * HISTORY_LEN  # replicate-padded at t=0
-        self._action_hist = [np.zeros(2)] * HISTORY_LEN
-        self._reward_hist = [0.0] * HISTORY_LEN
         self._trajectory: list[dict] = []
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(0.0, 0.0, 0.0, EventFlags()))
-        self._obs = self._build_observation(lidar)
+        self._obs = self._start_obs
         return self._obs
 
     def step(self, action) -> StepOutcome:
@@ -378,12 +364,15 @@ class World:
         self.terminal = goal or collision_dolly or collision_other or self.t >= self.step_limit
 
         lidar, frame = self._scan()
-        self._frames = self._frames[1:] + [frame]
-        self._action_hist = self._action_hist[1:] + [np.array([v, omega])]
-        self._reward_hist = self._reward_hist[1:] + [reward]
+        # drop each history block's oldest entry, append this step's; values
+        # already cast to dtype come back unchanged through float64
+        prev, sl = self._obs, self._slices
+        self._obs = np.concatenate([
+            prev[sl["semantic"]][frame.size:], frame.ravel(), lidar,
+            prev[sl["actions"]][2:], (v, omega), prev[sl["rewards"]][1:], (reward,),
+        ]).astype(self.dtype, copy=False)
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(v, omega, reward, flags))
-        self._obs = self._build_observation(lidar)
         return StepOutcome(self._obs, reward, self.terminal, flags)
 
     def _goal_reached(self) -> bool:
@@ -440,15 +429,8 @@ class World:
         return self._fan.frame(dist, is_leg)
 
     def observation(self) -> np.ndarray:
-        """Current flat observation (cached; rebuilt on reset/step)."""
+        """Current flat observation; the t=0 one is read-only."""
         return self._obs
-
-    def _build_observation(self, lidar: np.ndarray) -> np.ndarray:
-        parts = [np.concatenate([f.ravel() for f in self._frames]),
-                 lidar,
-                 np.concatenate(self._action_hist),
-                 np.asarray(self._reward_hist)]
-        return np.concatenate(parts).astype(self.dtype)
 
     # -- trajectory export ----------------------------------------------
 

@@ -283,3 +283,18 @@ def sac_update_reference(learner, obs, act, rewards, terminals, next_obs, weight
     metrics = {"critic_loss": closs, "actor_loss": aloss, "alpha_loss": tloss,
                "alpha": math.exp(learner.log_alpha), "mean_log_prob": float(logp.mean())}
     return np.abs(e1), metrics
+
+
+def sumtree_find_prefix(tree, value):
+    """Smallest leaf index of a ``SumTree`` whose cumulative sum reaches
+    ``value``: one scalar descent, the sequential reference for
+    ``SumTree.find_prefix_batch``."""
+    i = 0
+    while i < tree.capacity - 1:
+        left = 2 * i + 1
+        if value <= tree.nodes[left]:
+            i = left
+        else:
+            value -= tree.nodes[left]
+            i = left + 1
+    return i - (tree.capacity - 1)

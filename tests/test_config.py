@@ -1,3 +1,4 @@
+import re
 from dataclasses import dataclass, fields
 
 import pytest
@@ -114,6 +115,16 @@ def test_overrides_validated():
         config_overrides(cfg, nonexistent=1)
     with pytest.raises(ConfigError, match="replay_capacity must be finite"):
         config_overrides(cfg, replay_capacity=float("inf"))
+    # each value must have its field's type, and no range check reads one that has not
+    for value, message in ((dict(workers=2.5), "run.workers must be int"),
+                           (dict(step_limit=True), "run.step_limit must be int"),
+                           (dict(orientations_deg=[0.0]), "eval.orientations_deg must be tuple[float, ...]"),
+                           (dict(seeds=1), "run.seeds must be tuple[int, ...]"),
+                           (dict(hidden=128), "sac.hidden must be tuple[int, ...]"),
+                           (dict(gamma="0.9"), "sac.gamma must be float")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_overrides(cfg, **value)
+    assert config_overrides(cfg, wall_clock_limit=5).wall_clock_limit == 5
 
 
 def test_missing_file_reported():
@@ -133,7 +144,7 @@ def test_non_finite_value_rejected(tmp_path, section, key, text):
     path.write_text(f"[{section}]\n{key} = {value}\n")
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
         parse_config(path)
-    parsed = {k: parse for _, k, parse in config._KEYS}[key](value)
+    parsed = config._PARSERS[{k: a for _, k, a in config._KEYS}[key]](value)
     with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
         config_overrides(RunConfig(), **{key: parsed})
 

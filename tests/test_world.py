@@ -29,7 +29,6 @@ from docknav.world import (
     observation_slices,
     sample_task,
     start_observations,
-    start_scans,
     task_from_config,
 )
 
@@ -365,27 +364,54 @@ def test_start_observations_equal_world_reset(name, dtype):
     tasks = config_tasks(name, 2 * START_SCAN_CHUNK + 5, seed=8, obstacle_count=(0, 4))
     configs = [task.config for task in tasks]
     assert len({len(cfg.obstacles) for cfg in configs}) == 5
-    lidar, frames = start_scans(configs)
-    batched = start_observations(lidar, frames, dtype)
+    batched = start_observations(configs, dtype=dtype)
+    sl = observation_slices()
     for i, cfg in enumerate(configs):
         w = World(cfg, dtype=dtype)
         assert batched[i].dtype == w.observation().dtype
         assert np.array_equal(batched[i], w.observation())
-        assert np.array_equal(lidar[i], w.lidar_scan())
-        assert np.array_equal(frames[i], w.semantic_scan())
-    one_lidar, one_frames = start_scans(configs[-1:])
-    assert np.array_equal(start_observations(one_lidar, one_frames, dtype)[0], batched[-1])
+        frames = batched[i, sl["semantic"]].reshape(HISTORY_LEN, -1)
+        assert np.array_equal(batched[i, sl["lidar"]], w.lidar_scan().astype(dtype))
+        assert np.all(frames == w.semantic_scan().ravel().astype(dtype))
+    assert np.array_equal(start_observations(configs[-1:], dtype=dtype)[0], batched[-1])
 
 
-def test_world_reuses_a_given_start_scan():
+def test_world_reuses_a_given_start_observation():
     cfg = config_tasks("desk_nav_obstacles.ini", 1, seed=2)[0].config
-    lidar, frames = start_scans([cfg])
-    reused = World(cfg, start_scan=(lidar[0], frames[0]))
+    reused = World(cfg, start_observation=start_observations([cfg])[0])
     fresh = World(cfg)
     assert np.array_equal(reused.observation(), fresh.observation())
     for a in ((0.4, 0.2), (0.6, -0.3)):
         assert np.array_equal(reused.step(a).observation, fresh.step(a).observation)
     assert np.array_equal(reused.reset(), fresh.reset())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_observation_history_window(dtype):
+    # every step shifts the frame, action and reward blocks by one entry
+    cfg = config_tasks("desk_nav_obstacles.ini", 1, seed=5)[0].config
+    w = World(cfg, dtype=dtype, step_limit=10 * HISTORY_LEN)
+    start = w.observation().copy()
+    sl = observation_slices()
+    frames = [w.semantic_scan().ravel()] * HISTORY_LEN
+    actions = [np.zeros(2)] * HISTORY_LEN
+    rewards = [0.0] * HISTORY_LEN
+    commands = np.random.default_rng(6).uniform(-1.5, 1.5, size=(2 * HISTORY_LEN + 1, 2))
+    for a in commands:
+        out = w.step(a * (0.2, 1.0))  # slow: stays clear of walls and the dolly
+        frames = frames[1:] + [w.semantic_scan().ravel()]
+        actions = actions[1:] + [np.clip(a * (0.2, 1.0), -1.0, 1.0)]
+        rewards = rewards[1:] + [out.reward]
+        obs = out.observation
+        assert obs.dtype == dtype
+        assert np.array_equal(obs[sl["semantic"]], np.concatenate(frames).astype(dtype))
+        assert np.array_equal(obs[sl["actions"]], np.concatenate(actions).astype(dtype))
+        assert np.array_equal(obs[sl["rewards"]], np.asarray(rewards).astype(dtype))
+        assert np.array_equal(obs[sl["lidar"]], w.lidar_scan().astype(dtype))
+    reset = w.reset()
+    assert np.array_equal(reset, start)
+    with pytest.raises(ValueError):
+        reset[0] = 1.0
 
 
 # -- task sampling ---------------------------------------------------------
