@@ -230,7 +230,9 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 # version, user metadata and, per array, its name, dtype and shape), each
 # array's raw little-endian bytes in its own dtype in header order, SHA-256
 # of everything before the digest. Arrays are streamed to and from the file:
-# neither side builds the whole payload in memory.
+# neither side builds the whole payload in memory, and a reader that already
+# holds an array of the right dtype and shape has the bytes read straight
+# into it, so restoring a state costs no second copy of it.
 
 _DIGEST_SIZE = 32
 _READ_CHUNK = 1 << 20
@@ -317,10 +319,32 @@ def _parse_entries(entries, payload_size: int, path) -> list[tuple[str, np.dtype
     return parsed
 
 
-def read_checkpoint(path, prefix: str = "") -> tuple[dict, dict[str, np.ndarray]]:
-    """Metadata and the arrays whose names start with ``prefix``. The digest
-    is checked over the whole file before anything is parsed; arrays that are
-    not selected are skipped without being read into memory."""
+def _check_destinations(entries, destinations: dict[str, np.ndarray], path) -> None:
+    """Each destination names an array of the file, has its exact dtype and
+    shape, and is C-contiguous, so the array's bytes can be read into it."""
+    layout = {name: (dtype, shape) for name, dtype, shape, _ in entries}
+    for name, arr in destinations.items():
+        if name not in layout:
+            raise CheckpointError(f"{path}: checkpoint holds no array {name}")
+        dtype, shape = layout[name]
+        if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+            raise CheckpointError(
+                f"{path}: array {name} mismatch: checkpoint holds {dtype.str} {list(shape)}, "
+                f"destination is {'' if arr.flags.c_contiguous else 'non-contiguous '}"
+                f"{arr.dtype.str} {list(arr.shape)}")
+
+
+def read_checkpoint(path, prefix: str = "", into=None) -> tuple[dict, dict[str, np.ndarray]]:
+    """Metadata and the arrays whose names start with ``prefix``.
+
+    The digest is checked over the whole file, then the header is parsed and
+    its sizes checked. Only then is ``into(meta)``, when given, asked for
+    destinations ``{name: array}``: each must match its array's dtype and
+    shape exactly and be C-contiguous, or :class:`CheckpointError` names it
+    before any array is read. A destination gets its array's bytes read
+    straight into it and is returned under its name; every other selected
+    array is read into a fresh one, and arrays that are not selected are
+    skipped without being read into memory."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _PREAMBLE + _DIGEST_SIZE or fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
@@ -339,15 +363,20 @@ def read_checkpoint(path, prefix: str = "") -> tuple[dict, dict[str, np.ndarray]
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         entries = _parse_entries(header.get("arrays"), size - _PREAMBLE - hlen - _DIGEST_SIZE, path)
+        meta = header.get("meta")
+        destinations = into(meta) if into else {}
+        _check_destinations(entries, destinations, path)
         arrays = {}
         for name, dtype, shape, nbytes in entries:
-            if name.startswith(prefix):
+            arr = destinations.get(name)
+            if arr is None and name.startswith(prefix):
                 arr = np.empty(shape, dtype=dtype)
+            if arr is None:
+                fh.seek(nbytes, os.SEEK_CUR)
+            else:
                 _read_exact(fh, _byte_view(arr), path)
                 arrays[name] = arr
-            else:
-                fh.seek(nbytes, os.SEEK_CUR)
-    return header.get("meta"), arrays
+    return meta, arrays
 
 
 def net_to_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:

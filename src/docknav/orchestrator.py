@@ -366,28 +366,35 @@ def _optimizers(trainer: Trainer) -> dict[str, nn.AdamState]:
             "adam_fpi": trainer.fpi.adam}
 
 
-def save_checkpoint(trainer: Trainer, path) -> None:
-    """Full trainer state: networks, optimizers, replay, RNG streams (one per
-    worker once training has built them), and counters. Restoring reproduces
-    identical subsequent behavior."""
+def checkpoint_arrays(trainer: Trainer, n: int) -> dict[str, np.ndarray]:
+    """The trainer's fixed-layout checkpointed arrays by name, in file order,
+    with the first ``n`` replay rows: the arrays that save_checkpoint writes
+    and restore_checkpoint reads straight back into."""
     learner, replay = trainer.learner, trainer.replay
     arrays: dict[str, np.ndarray] = {}
     for prefix, net in _networks(trainer).items():
         arrays.update(nn.net_to_arrays(prefix, net))
     arrays["log_alpha"] = learner._alpha_param[0]
-    optimizers = _optimizers(trainer)
-    for prefix, state in optimizers.items():
+    for prefix, state in _optimizers(trainer).items():
         for i, (m, v) in enumerate(zip(state.m, state.v)):
             arrays[f"{prefix}.m{i}"] = m
             arrays[f"{prefix}.v{i}"] = v
     arrays["fpi_stats.mean"] = trainer.fpi.stats.mean
     arrays["fpi_stats.m2"] = trainer.fpi.stats.m2
-    n = len(replay)
     if n:
         for name in REPLAY_ARRAYS:
             arrays[f"replay.{name}"] = getattr(replay, name)[:n]
         first_leaf = replay.tree.capacity - 1
         arrays["replay.priorities"] = replay.tree.nodes[first_leaf : first_leaf + n]
+    return arrays
+
+
+def save_checkpoint(trainer: Trainer, path) -> None:
+    """Full trainer state: networks, optimizers, replay, RNG streams (one per
+    worker once training has built them), and counters. Restoring reproduces
+    identical subsequent behavior."""
+    learner = trainer.learner
+    arrays = checkpoint_arrays(trainer, len(trainer.replay))
     if trainer.result_set:
         arrays["pending_features"] = np.stack([f for f, _ in trainer.result_set])
         arrays["pending_labels"] = np.array([y for _, y in trainer.result_set])
@@ -403,20 +410,24 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         "critic_layers": list(learner.critics.q1.layer_sizes),
         **{key: operator.attrgetter(attr)(trainer) for key, attr in COUNTERS.items()},
         "master_rng": trainer.master_rng.bit_generator.state,
-        "adam": {f"{prefix}.steps": state.step_count for prefix, state in optimizers.items()},
+        "adam": {f"{prefix}.steps": state.step_count
+                 for prefix, state in _optimizers(trainer).items()},
     }
     for w in trainer._workers:
         meta[f"worker{w.worker_id}_rng"] = w.rng.bit_generator.state
     nn.write_checkpoint(path, meta, arrays)
 
 
-def restore_checkpoint(path, config, out_dir=None) -> Trainer:
-    """Rebuild a trainer from a checkpoint. Structural mismatches against the
-    supplied config raise :class:`nn.CheckpointError` before the trainer is
-    created. With ``out_dir``, the run's logs there keep their header and the
-    checkpoint's ``episodes_received`` rows and are appended to; a log with
-    fewer rows raises :class:`nn.CheckpointError` before either is written."""
-    meta, arrays = nn.read_checkpoint(path)
+def _worker_rngs(meta: dict) -> list[dict]:
+    states = []
+    while f"worker{len(states)}_rng" in meta:
+        states.append(meta[f"worker{len(states)}_rng"])
+    return states
+
+
+def _trainer_for(meta: dict, config) -> Trainer:
+    """A fresh trainer for a checkpoint's metadata, after checking the
+    metadata against ``config``."""
     robot = world.RobotSpec(**meta["robot"])
     actor_layers = [world.observation_dim(robot), *config.hidden, 2 * ACT_DIM]
     if meta["actor_layers"] != actor_layers:
@@ -430,30 +441,37 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         raise nn.CheckpointError(
             f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}, "
             f"config replay_capacity is {config.replay_capacity}")
-    worker_rngs = []
-    while f"worker{len(worker_rngs)}_rng" in meta:
-        worker_rngs.append(meta[f"worker{len(worker_rngs)}_rng"])
-    if worker_rngs and len(worker_rngs) != config.workers:
+    workers = len(_worker_rngs(meta))
+    if workers and workers != config.workers:
         raise nn.CheckpointError(
-            f"worker count mismatch: checkpoint {len(worker_rngs)} vs config {config.workers}")
-    trainer = Trainer(config, seed=int(meta["seed"]), robot=robot,
-                      dolly=world.DollySpec(**meta["dolly"]))
-    learner, replay = trainer.learner, trainer.replay
-    for prefix, net in _networks(trainer).items():
-        nn.load_net_arrays(net, prefix, arrays)
-    learner._alpha_param[0][...] = arrays["log_alpha"]
-    learner.log_alpha = float(arrays["log_alpha"][0])
+            f"worker count mismatch: checkpoint {workers} vs config {config.workers}")
+    return Trainer(config, seed=int(meta["seed"]), robot=robot,
+                   dolly=world.DollySpec(**meta["dolly"]))
+
+
+def restore_checkpoint(path, config, out_dir=None) -> Trainer:
+    """Rebuild a trainer from a checkpoint. Structural mismatches against the
+    supplied config raise :class:`nn.CheckpointError` before the trainer is
+    created. Every array of :func:`checkpoint_arrays` is read straight into
+    the new trainer's own, so the replay is held once. With ``out_dir``, the
+    run's logs there keep their header and the checkpoint's
+    ``episodes_received`` rows and are appended to; a log with fewer rows
+    raises :class:`nn.CheckpointError` before either is written."""
+    trainer = None
+
+    def destinations(meta: dict) -> dict[str, np.ndarray]:
+        nonlocal trainer
+        trainer = _trainer_for(meta, config)
+        return checkpoint_arrays(trainer, int(meta["replay.size"]))
+
+    meta, arrays = nn.read_checkpoint(path, into=destinations)
+    learner = trainer.learner
+    learner.log_alpha = float(learner._alpha_param[0][0])
     for prefix, state in _optimizers(trainer).items():
-        for i in range(len(state.m)):
-            state.m[i][...] = arrays[f"{prefix}.m{i}"]
-            state.v[i][...] = arrays[f"{prefix}.v{i}"]
         state.step_count = int(meta["adam"][f"{prefix}.steps"])
-    trainer.fpi.stats.mean = arrays["fpi_stats.mean"].copy()
-    trainer.fpi.stats.m2 = arrays["fpi_stats.m2"].copy()
-    if n:
-        for name in REPLAY_ARRAYS:
-            getattr(replay, name)[:n] = arrays[f"replay.{name}"]
-        replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
+    n = int(meta["replay.size"])
+    if n:  # the priorities were read into the tree's leaves: rebuild every node above
+        trainer.replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
         labels = arrays["pending_labels"]
@@ -463,7 +481,7 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         obj = operator.attrgetter(owner)(trainer) if owner else trainer
         setattr(obj, name, type(getattr(obj, name))(meta[key]))  # the fresh trainer's type
     trainer.master_rng.bit_generator.state = _rng_state(meta["master_rng"])
-    for i, state in enumerate(worker_rngs):
+    for i, state in enumerate(_worker_rngs(meta)):
         trainer._workers.append(Worker(i, trainer.seed, trainer))
         trainer._workers[i].rng.bit_generator.state = _rng_state(state)
     if out_dir:

@@ -77,7 +77,9 @@ class SumTree:
 
     def set_many(self, indices, priorities) -> None:
         """Batched leaf update: write all leaves, then repair each ancestor
-        level once (the sampling hot path updates a whole batch at a time)."""
+        level once (the sampling hot path updates a whole batch at a time).
+        The parents of a sorted, duplicate-free level are sorted, so above the
+        first level a neighbour comparison drops the duplicates."""
         indices = np.asarray(indices, dtype=np.int64)
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.size and priorities.min() < 0:
@@ -95,7 +97,11 @@ class SumTree:
             self.node_max[parents] = np.maximum(self.node_max[left], self.node_max[right])
             if parents[0] == 0:
                 break
-            parents = np.unique((parents - 1) // 2)
+            parents = (parents - 1) // 2
+            keep = np.empty(len(parents), dtype=bool)
+            keep[0] = True
+            np.not_equal(parents[1:], parents[:-1], out=keep[1:])
+            parents = parents[keep]
 
     def find_prefix_batch(self, values: np.ndarray) -> np.ndarray:
         """For each value, the smallest leaf index whose cumulative sum reaches it."""

@@ -348,3 +348,48 @@ def test_checkpoint_failed_write_removes_temporary_file(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="no space"):
         write_checkpoint(path, {}, {"a": np.zeros(3)})
     assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_reads_into_destinations(tmp_path):
+    rng = np.random.default_rng(12)
+    arrays = {"a": rng.normal(size=(4, 3)), "b": rng.integers(0, 9, size=5).astype(np.int32),
+              "c": rng.normal(size=2).astype(np.float32)}
+    path = tmp_path / "into.ckpt"
+    write_checkpoint(path, {"k": 1}, arrays)
+    rows = np.zeros((6, 3))
+    seen = []
+
+    def into(meta):
+        seen.append(meta)
+        return {"a": rows[:4], "b": np.zeros(5, dtype=np.int32)}
+
+    meta, back = read_checkpoint(path, into=into)
+    assert seen == [meta] == [{"k": 1}]
+    assert back["a"].base is rows  # read in place, not copied
+    assert rows[:4].tobytes() == arrays["a"].tobytes() and not rows[4:].any()
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
+    # destinations are only asked for once the digest has been checked
+    blob = bytearray(path.read_bytes())
+    blob[-40] ^= 0x01
+    path.write_bytes(bytes(blob))
+    seen.clear()
+    with pytest.raises(CheckpointError, match="checksum"):
+        read_checkpoint(path, into=into)
+    assert seen == []
+
+
+@pytest.mark.parametrize("destination, problem", [
+    (np.zeros((4, 3), dtype=np.float32), "<f4"),
+    (np.zeros((3, 3)), r"\[3, 3\]"),
+    (np.zeros((3, 4)).T, "non-contiguous"),
+], ids=["dtype", "shape", "layout"])
+def test_checkpoint_rejects_mismatched_destination(tmp_path, destination, problem):
+    path = tmp_path / "bad_into.ckpt"
+    write_checkpoint(path, {}, {"a": np.ones((4, 3)), "b": np.ones(2)})
+    b = np.zeros(2)
+    with pytest.raises(CheckpointError, match=rf"array a mismatch.*{problem}"):
+        read_checkpoint(path, into=lambda meta: {"b": b, "a": destination})
+    assert not b.any()  # nothing is read before every destination is checked
+    with pytest.raises(CheckpointError, match="no array z"):
+        read_checkpoint(path, into=lambda meta: {"z": np.zeros(2)})

@@ -8,11 +8,12 @@ import pytest
 
 from docknav import curriculum, orchestrator, world
 from docknav.config import RunConfig
-from docknav.nn import CheckpointError
+from docknav.nn import CheckpointError, read_checkpoint, write_checkpoint
 from docknav.orchestrator import (
     Trainer,
     Worker,
     actor_from_checkpoint,
+    checkpoint_arrays,
     restore_checkpoint,
     save_checkpoint,
 )
@@ -347,24 +348,54 @@ def test_structural_mismatch_rejected(tmp_path):
         restore_checkpoint(path, tiny_config(hidden=(24,)))
 
 
+def rewrite_array(path, name, change):
+    """Re-write a checkpoint with ``change`` applied to one of its arrays."""
+    meta, arrays = read_checkpoint(path)
+    arrays[name] = change(arrays[name])
+    write_checkpoint(path, meta, arrays)
+
+
+def narrow_rewards(path):
+    rewrite_array(path, "replay.rewards", lambda a: a.astype(np.float32))
+
+
 @pytest.mark.parametrize("mismatch", [dict(hidden=(24,)), dict(dtype="float32"),
-                                      dict(workers=2), dict(replay_capacity=1, batch_size=1)],
-                         ids=["hidden", "dtype", "workers", "replay"])
+                                      dict(workers=2), dict(replay_capacity=1, batch_size=1),
+                                      narrow_rewards],
+                         ids=["hidden", "dtype", "workers", "replay", "array"])
 def test_rejected_restore_leaves_run_logs_untouched(tmp_path, mismatch):
     out = tmp_path / "run"
     trainer = make_trainer(out_dir=out, episode_budget=3, batch_size=8)
     trainer.train()
     path = out / "final.ckpt"
     save_checkpoint(trainer, path)
+    overrides = {"episode_budget": 3, "batch_size": 8}
+    if callable(mismatch):
+        mismatch(path)
+    else:
+        overrides.update(mismatch)
     logs = {name: (out / name).read_bytes() for name in ("telemetry.csv", "curriculum.csv")}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         with pytest.raises(CheckpointError, match="mismatch"):
-            restore_checkpoint(path, tiny_config(**{"episode_budget": 3, "batch_size": 8,
-                                                    **mismatch}), out_dir=out)
+            restore_checkpoint(path, tiny_config(**overrides), out_dir=out)
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+@pytest.mark.parametrize("name, change", [
+    ("replay.rewards", lambda a: a.astype(np.float32)),
+    ("replay.obs", lambda a: a[:-1]),
+], ids=["dtype", "rows"])
+def test_restore_rejects_mismatched_replay_array(tmp_path, name, change):
+    trainer = make_trainer(episode_budget=3, batch_size=8)
+    trainer.train()
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(trainer, path)
+    rewrite_array(path, name, change)
+    with pytest.raises(CheckpointError, match=rf"array {name} mismatch"):
+        restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8))
 
 
 def test_actor_from_checkpoint_matches(tmp_path):
@@ -437,3 +468,22 @@ def test_actor_from_checkpoint_skips_replay(tmp_path):
     assert peak < 0.1 * replay_bytes
     for a, b in zip(actor.net.parameters(), trainer.learner.actor.net.parameters()):
         assert a.tobytes() == b.tobytes()
+
+
+def test_restore_reads_arrays_in_place(tmp_path):
+    trainer = filled_trainer()
+    path = tmp_path / "full.ckpt"
+    save_checkpoint(trainer, path)
+    restored, peak = traced_peak(restore_checkpoint, path, tiny_config(replay_capacity=1 << 12))
+    replay, tree = restored.replay, restored.replay.tree
+    replay_bytes = sum(a.nbytes for a in (replay.obs, replay.next_obs, replay.actions,
+                                          replay.rewards, replay.terminals, replay.worker_ids,
+                                          tree.nodes, tree.node_max))
+    assert peak <= 1.1 * replay_bytes  # one replay: a copy on the way would make it 2x
+    n = len(trainer.replay)
+    source, back = checkpoint_arrays(trainer, n), checkpoint_arrays(restored, n)
+    assert list(back) == list(source)
+    for name, arr in source.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
+    assert tree.nodes.tobytes() == trainer.replay.tree.nodes.tobytes()
+    assert tree.node_max.tobytes() == trainer.replay.tree.node_max.tobytes()
