@@ -4,6 +4,10 @@ gradients, Adam updates, and versioned checkpoint serialization.
 Fixed-topology MLPs are all this system needs (actor, critics, success
 predictor), so there is no general autodiff graph - a recorded forward tape
 keeps the backward pass simple and finite-difference checkable.
+
+Each network keeps its parameters, and returns its parameter gradients, in
+one flat array whose layout only :class:`DenseNet` knows, so optimizers,
+target copies and checkpoints handle one array per network.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
 
 CHECKPOINT_MAGIC = b"DNCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class GradientError(RuntimeError):
@@ -67,10 +71,13 @@ class Tape:
 
 @dataclass
 class Gradients:
-    """Result of :meth:`DenseNet.backward`. A field is ``None`` when the pass
-    was told to skip it: ``weights`` and ``biases`` with ``params=False``,
-    ``wrt_input`` with ``wrt_input=False``."""
+    """Result of :meth:`DenseNet.backward`: ``flat`` holds the parameter
+    gradients in the network's ``flat`` layout, ``weights`` and ``biases`` are
+    views into it. A field is ``None`` when the pass was told to skip it:
+    ``flat``, ``weights`` and ``biases`` with ``params=False``, ``wrt_input``
+    with ``wrt_input=False``."""
 
+    flat: np.ndarray | None
     weights: list[np.ndarray] | None
     biases: list[np.ndarray] | None
     wrt_input: np.ndarray | None
@@ -78,7 +85,9 @@ class Gradients:
 
 class DenseNet:
     """Fully-connected network; weights are (n_in, n_out) so batched inputs
-    multiply as ``x @ W + b``. Evaluation never mutates parameters."""
+    multiply as ``x @ W + b``. Evaluation never mutates parameters. ``flat``
+    holds every parameter, laid out ``W0, b0, W1, b1, ...``, and
+    ``weights[l]`` and ``biases[l]`` are views into it."""
 
     def __init__(self, layer_sizes, activations, rng=None, dtype=np.float64):
         if len(activations) != len(layer_sizes) - 1:
@@ -90,12 +99,25 @@ class DenseNet:
         self.activations = tuple(activations)
         self.dtype = np.dtype(dtype)
         rng = rng or np.random.default_rng()
-        self.weights = []
-        self.biases = []
+        sizes = zip(self.layer_sizes[:-1], self.layer_sizes[1:])
+        self.flat = np.empty(sum((n_in + 1) * n_out for n_in, n_out in sizes), self.dtype)
+        self.weights, self.biases = self._views(self.flat)
+        for W, b in zip(self.weights, self.biases):
+            limit = 1.0 / np.sqrt(W.shape[0])  # uniform fan-in scaling
+            W[...] = rng.uniform(-limit, limit, size=W.shape)
+            b[...] = rng.uniform(-limit, limit, size=b.shape)
+
+    def _views(self, buf: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views into ``buf``, an array the size of
+        ``flat``: the only code that knows the ``W0, b0, W1, b1, ...`` layout."""
+        weights, biases = [], []
+        start = 0
         for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            limit = 1.0 / np.sqrt(n_in)  # uniform fan-in scaling
-            self.weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)).astype(self.dtype))
-            self.biases.append(rng.uniform(-limit, limit, size=n_out).astype(self.dtype))
+            weights.append(buf[start : start + n_in * n_out].reshape(n_in, n_out))
+            start += n_in * n_out
+            biases.append(buf[start : start + n_out])
+            start += n_out
+        return weights, biases
 
     @property
     def in_dim(self) -> int:
@@ -142,44 +164,32 @@ class DenseNet:
         g = np.asarray(out_adjoint, dtype=self.dtype)
         if tape.squeezed and g.ndim == 1:
             g = g[None, :]
-        d_weights = [None] * len(self.weights) if params else None
-        d_biases = [None] * len(self.biases) if params else None
+        d_flat = np.empty_like(self.flat) if params else None
+        d_weights, d_biases = self._views(d_flat) if params else (None, None)
         last = len(self.weights) - 1
         for l in range(last, -1, -1):
             if not (l == last and skip_last_activation):
                 g = _backprop_activation(self.activations[l], g, tape.pre[l], tape.outputs[l])
             if params:
-                d_weights[l] = tape.inputs[l].T @ g
-                d_biases[l] = g.sum(axis=0)
+                np.matmul(tape.inputs[l].T, g, out=d_weights[l])
+                g.sum(axis=0, out=d_biases[l])
             if l or wrt_input:  # at layer 0 this product is the input gradient
                 g = g @ self.weights[l].T
         d_input = (g[0] if tape.squeezed else g) if wrt_input else None
-        return Gradients(d_weights, d_biases, d_input)
+        return Gradients(d_flat, d_weights, d_biases, d_input)
 
     # -- parameter plumbing -------------------------------------------
 
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for W, b in zip(self.weights, self.biases):
-            out.extend((W, b))
-        return out
-
-    def set_parameters(self, params) -> None:
-        expect = self.parameters()
-        if len(params) != len(expect):
-            raise ValueError("parameter list length mismatch")
-        for dst, src in zip(expect, params):
-            if dst.shape != src.shape:
-                raise ValueError(f"parameter shape mismatch {dst.shape} vs {src.shape}")
-            dst[...] = src
+        return [self.flat]
 
     def copy(self) -> "DenseNet":
         clone = DenseNet.__new__(DenseNet)
         clone.layer_sizes = self.layer_sizes
         clone.activations = self.activations
         clone.dtype = self.dtype
-        clone.weights = [W.copy() for W in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
+        clone.flat = self.flat.copy()
+        clone.weights, clone.biases = clone._views(clone.flat)
         return clone
 
 
@@ -218,10 +228,8 @@ def adam_step(params, grads, state: AdamState):
 
 
 def net_grads_list(g: Gradients) -> list[np.ndarray]:
-    out = []
-    for dW, db in zip(g.weights, g.biases):
-        out.extend((dW, db))
-    return out
+    """The gradients in the order of :meth:`DenseNet.parameters`."""
+    return [g.flat]
 
 
 # -- checkpoint container ------------------------------------------------
@@ -379,20 +387,8 @@ def read_checkpoint(path, prefix: str = "", into=None) -> tuple[dict, dict[str, 
     return meta, arrays
 
 
-def net_to_arrays(prefix: str, net: DenseNet) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
-        out[f"{prefix}.W{i}"] = W
-        out[f"{prefix}.b{i}"] = b
-    return out
-
-
 def load_net_arrays(net: DenseNet, prefix: str, arrays: dict[str, np.ndarray]) -> DenseNet:
-    """Overwrite ``net``'s parameters with the ``{prefix}.W{i}``/``{prefix}.b{i}``
-    arrays written by :func:`net_to_arrays`, cast to the network's dtype."""
-    params = []
-    for i in range(len(net.weights)):
-        params.extend((arrays[f"{prefix}.W{i}"].astype(net.dtype),
-                       arrays[f"{prefix}.b{i}"].astype(net.dtype)))
-    net.set_parameters(params)
+    """Overwrite ``net``'s parameters with the array ``{prefix}.params``, a
+    network's ``flat``, cast to the network's dtype."""
+    net.flat[...] = arrays[f"{prefix}.params"].reshape(net.flat.shape)  # no broadcast
     return net

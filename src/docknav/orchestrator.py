@@ -62,8 +62,7 @@ class Worker:
         self.q1 = trainer.learner.critics.q1
         self.fpi = trainer.fpi
         # skip one draw per actor and predictor parameter, as before: keeps every run's bits
-        self.rng.bit_generator.advance(sum(p.size for net in (self.actor.net, self.fpi.net)
-                                           for p in net.parameters()))
+        self.rng.bit_generator.advance(self.actor.net.flat.size + self.fpi.net.flat.size)
 
     def _sample_task(self) -> world.Task:
         return world.sample_task(self.rng, self.trainer.task_bounds,
@@ -373,12 +372,11 @@ def checkpoint_arrays(trainer: Trainer, n: int) -> dict[str, np.ndarray]:
     learner, replay = trainer.learner, trainer.replay
     arrays: dict[str, np.ndarray] = {}
     for prefix, net in _networks(trainer).items():
-        arrays.update(nn.net_to_arrays(prefix, net))
+        arrays[f"{prefix}.params"] = net.flat
     arrays["log_alpha"] = learner._alpha_param[0]
     for prefix, state in _optimizers(trainer).items():
-        for i, (m, v) in enumerate(zip(state.m, state.v)):
-            arrays[f"{prefix}.m{i}"] = m
-            arrays[f"{prefix}.v{i}"] = v
+        (m,), (v,) = state.m, state.v  # each optimizer steps one array
+        arrays[f"{prefix}.m"], arrays[f"{prefix}.v"] = m, v
     arrays["fpi_stats.mean"] = trainer.fpi.stats.mean
     arrays["fpi_stats.m2"] = trainer.fpi.stats.m2
     if n:

@@ -108,8 +108,8 @@ class CriticPair:
         self.target_q2 = self.q2.copy()
 
     def hard_update(self):
-        self.target_q1.set_parameters(self.q1.parameters())
-        self.target_q2.set_parameters(self.q2.parameters())
+        np.copyto(self.target_q1.flat, self.q1.flat)
+        np.copyto(self.target_q2.flat, self.q2.flat)
 
     def min_target_q(self, obs, act):
         # the networks cast their input to their dtype anyway; joining float32

@@ -208,10 +208,8 @@ def _full_backward(net, tape, out_adjoint):
 
 
 def _grads_list(d_weights, d_biases):
-    out = []
-    for dW, db in zip(d_weights, d_biases):
-        out.extend((dW, db))
-    return out
+    """The per-layer gradients joined in the networks' flat layout: W0, b0, W1, b1, ..."""
+    return [np.concatenate([g.ravel() for pair in zip(d_weights, d_biases) for g in pair])]
 
 
 def sac_update_reference(learner, obs, act, rewards, terminals, next_obs, weights, rng):

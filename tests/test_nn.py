@@ -15,7 +15,6 @@ from docknav.nn import (
     adam_step,
     load_net_arrays,
     net_grads_list,
-    net_to_arrays,
     read_checkpoint,
     write_checkpoint,
 )
@@ -119,6 +118,7 @@ def test_backward_switches_skip_only_their_fields(dtype, skip_last):
         full = net.backward(tape, adjoint, skip_last_activation=skip_last)
         no_params = net.backward(tape, adjoint, skip_last_activation=skip_last, params=False)
         no_input = net.backward(tape, adjoint, skip_last_activation=skip_last, wrt_input=False)
+        assert no_params.flat is None
         assert no_params.weights is None and no_params.biases is None
         assert no_input.wrt_input is None
         assert no_params.wrt_input.dtype == full.wrt_input.dtype
@@ -208,7 +208,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     rng = np.random.default_rng(7)
     net = DenseNet([4, 8, 2], ["relu", "identity"], rng=rng)
     path = tmp_path / "net.ckpt"
-    write_checkpoint(path, {"note": 1}, net_to_arrays("net", net))
+    write_checkpoint(path, {"note": 1}, {"net.params": net.flat})
     meta, arrays = read_checkpoint(path)
     restored = load_net_arrays(DenseNet([4, 8, 2], ["relu", "identity"]), "net", arrays)
     for a, b in zip(net.parameters(), restored.parameters()):
@@ -219,7 +219,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 def test_checkpoint_corruption_detected(tmp_path):
     net = DenseNet([2, 2], ["identity"], rng=np.random.default_rng(8))
     path = tmp_path / "net.ckpt"
-    write_checkpoint(path, {}, net_to_arrays("net", net))
+    write_checkpoint(path, {}, {"net.params": net.flat})
     blob = bytearray(path.read_bytes())
     blob[len(blob) // 2] ^= 0xFF
     path.write_bytes(bytes(blob))
@@ -292,11 +292,12 @@ def _container(header: dict, payload: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def test_checkpoint_version_1_rejected(tmp_path):
-    path = tmp_path / "v1.ckpt"
-    path.write_bytes(_container({"version": 1, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]},
-                                np.arange(3, dtype="<f8").tobytes()))
-    with pytest.raises(CheckpointError, match="version 1"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_old_version_rejected(tmp_path, version):
+    path = tmp_path / f"v{version}.ckpt"
+    header = {"version": version, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]}
+    path.write_bytes(_container(header, np.arange(3, dtype="<f8").tobytes()))
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         read_checkpoint(path)
 
 

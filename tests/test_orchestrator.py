@@ -244,6 +244,41 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         assert again.read_bytes() == path.read_bytes()
 
 
+def test_layer_views_stay_bound_to_their_own_flat(tmp_path):
+    config = tiny_config(episode_budget=4, batch_size=8, target_update_interval=1)
+    trainer = Trainer(config, seed=1, robot=TINY_ROBOT)
+    trainer.train()
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(trainer, path)
+    restored = restore_checkpoint(path, config)
+    actor = actor_from_checkpoint(path, dtype=np.float64)
+
+    obs, act = trainer.replay.obs[:8], trainer.replay.actions[:8]
+    for policy in (restored.learner.actor, actor):
+        for o in obs:
+            a, logp = policy.act(o, rng=np.random.default_rng(3))
+            b, logq = trainer.learner.actor.act(o, rng=np.random.default_rng(3))
+            assert a.tobytes() == b.tobytes() and logp == logq
+    x = np.concatenate([obs, act], axis=1)
+    assert (restored.learner.critics.q1.forward(x).tobytes()
+            == trainer.learner.critics.q1.forward(x).tobytes())
+
+    nets = [*orchestrator._networks(trainer).values(), *orchestrator._networks(restored).values(),
+            actor.net]
+    for net in nets:
+        for view in [*net.weights, *net.biases]:
+            assert [np.shares_memory(view, other.flat) for other in nets] == [
+                other is net for other in nets]
+
+    for t in (trainer, restored):
+        critics = t.learner.critics
+        critics.hard_update()
+        for net, target in ((critics.q1, critics.target_q1), (critics.q2, critics.target_q2)):
+            kept = target.flat.copy()
+            net.flat[:] = 0.0
+            assert target.flat.tobytes() == kept.tobytes()
+
+
 def test_checkpoint_restores_whole_sum_tree(tmp_path):
     # a partly filled replay: restore rebuilds every internal sum and max
     trainer = make_trainer(episode_budget=3, batch_size=8)
