@@ -68,12 +68,9 @@ def cmd_histograms(args) -> int:
 def cmd_replay(args) -> int:
     with open(args.trajectory, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines:
-        print("error: empty trajectory file", file=sys.stderr)
-        return 1
-    scene = lines[0] if lines[0].get("type") == "scene" else {"room_width": 10, "room_length": 10}
-    records = [rec for rec in lines if rec.get("type") != "scene"]
-    svg.write_trajectory(args.out, scene, records)
+    if not (lines and isinstance(lines[0], dict) and lines[0].get("type") == "scene"):
+        raise ValueError(f"{args.trajectory}: the first line is not a scene header")
+    svg.write_trajectory(args.out, lines[0], lines[1:])
     print(f"wrote {args.out}")
     return 0
 

@@ -83,18 +83,22 @@ class GridEvalResult:
     valid: np.ndarray  # (orientations, ny, nx) bool
     episodes_executed: int
 
+    def rates(self) -> np.ndarray:
+        """Success rate per cell, (orientations, ny, nx); 0 where no episode ran."""
+        return np.divide(self.successes, self.episodes, out=np.zeros(self.successes.shape),
+                         where=self.episodes > 0)
+
     def cell_rows(self) -> list[list]:
         rows = []
         n = self.config.positions_per_side
+        rates = self.rates().tolist()
         for io, odeg in enumerate(self.config.orientations_deg):
             for iy in range(n):
                 for ix in range(n):
                     pose = self.config.start_pose(ix, iy, odeg)
-                    ep = int(self.episodes[io, iy, ix])
-                    sc = int(self.successes[io, iy, ix])
-                    rate = sc / ep if ep else 0.0
                     rows.append([ix, iy, f"{pose.x:.3f}", f"{pose.y:.3f}", odeg,
-                                 ep, sc, repr(rate), int(self.valid[io, iy, ix])])
+                                 int(self.episodes[io, iy, ix]), int(self.successes[io, iy, ix]),
+                                 repr(rates[io][iy][ix]), int(self.valid[io, iy, ix])])
         return rows
 
     def orientation_mean(self, odeg: float) -> tuple[float, int, int]:
@@ -104,16 +108,9 @@ class GridEvalResult:
         recomputes exactly from the emitted integer columns.
         """
         io = self.config.orientations_deg.index(odeg)
-        n = self.config.positions_per_side
-        rates = []
-        n_invalid = 0
-        for iy in range(n):
-            for ix in range(n):
-                if not self.valid[io, iy, ix]:
-                    n_invalid += 1
-                    continue
-                ep = int(self.episodes[io, iy, ix])
-                rates.append(int(self.successes[io, iy, ix]) / ep if ep else 0.0)
+        valid = self.valid[io].ravel()
+        rates = self.rates()[io].ravel()[valid].tolist()
+        n_invalid = valid.size - len(rates)
         if not rates:
             return 0.0, 0, n_invalid
         return sum(rates) / len(rates), len(rates), n_invalid
@@ -231,15 +228,9 @@ def _write_outputs(result: GridEvalResult, out_dir: Path) -> None:
     }
     with open(out_dir / "metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
-    n = cfg.positions_per_side
+    rates = result.rates().tolist()
     for io, odeg in enumerate(cfg.orientations_deg):
-        values = [
-            [
-                (result.successes[io, iy, ix] / max(result.episodes[io, iy, ix], 1)
-                 if result.valid[io, iy, ix] else None)
-                for ix in range(n)
-            ]
-            for iy in range(n)
-        ]
+        values = [[rate if ok else None for rate, ok in zip(rate_row, valid_row)]
+                  for rate_row, valid_row in zip(rates[io], result.valid[io].tolist())]
         svg.write_heatmap(out_dir / f"heatmap_{odeg:+.0f}.svg", values,
                           f"success rate, start orientation {odeg:+.0f} deg")

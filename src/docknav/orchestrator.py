@@ -169,7 +169,7 @@ class Trainer:
         self.result_set: list[tuple[np.ndarray, float]] = []  # pending f_pi batch
         self.fpi_train_calls = 0
 
-        self._workers: list[Worker] = []  # built by the first train()
+        self._workers = [Worker(i, seed, self) for i in range(config.workers)]
         self.out_dir = Path(out_dir) if out_dir else None
         self._telemetry = self._curriculum_log = None
         if self.out_dir:
@@ -287,16 +287,13 @@ class Trainer:
     def train(self, max_new_episodes: int | None = None) -> None:
         """Run training until the episode budget (or, when given, until
         ``max_new_episodes`` more episodes arrive - the interruption point for
-        checkpoint/resume)."""
+        checkpoint/resume), then close the run's logs. A later call reopens
+        them and appends its rows after the ``episodes_received`` kept ones."""
         stop_at = self.config.episode_budget
         if max_new_episodes is not None:
             stop_at = min(stop_at, self.episodes_received + max_new_episodes)
-        if not self._workers:
-            self._workers = [Worker(i, self.seed, self) for i in range(self.config.workers)]
-        self._train(stop_at)
-        self.close_logs()
-
-    def _train(self, stop_at: int) -> None:
+        if self.out_dir and not self._telemetry:
+            self._open_logs(keep_rows=self.episodes_received)
         start = time.monotonic()
         while self.episodes_received < stop_at:
             worker = self._workers[self.episodes_received % len(self._workers)]
@@ -306,6 +303,7 @@ class Trainer:
             if self._wall_clock_exceeded(start):
                 break
             self._maybe_periodic_checkpoint()
+        self.close_logs()
 
     def _wall_clock_exceeded(self, start: float) -> bool:
         limit = self.config.wall_clock_limit
@@ -388,8 +386,8 @@ def checkpoint_arrays(trainer: Trainer, n: int) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(trainer: Trainer, path) -> None:
-    """Full trainer state: networks, optimizers, replay, RNG streams (one per
-    worker once training has built them), and counters. Restoring reproduces
+    """Full trainer state: networks, optimizers, replay, RNG streams (the
+    master's and every worker's), and counters. Restoring reproduces
     identical subsequent behavior."""
     learner = trainer.learner
     arrays = checkpoint_arrays(trainer, len(trainer.replay))
@@ -463,8 +461,6 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         return checkpoint_arrays(trainer, int(meta["replay.size"]))
 
     meta, arrays = nn.read_checkpoint(path, into=destinations)
-    learner = trainer.learner
-    learner.log_alpha = float(learner._alpha_param[0][0])
     for prefix, state in _optimizers(trainer).items():
         state.step_count = int(meta["adam"][f"{prefix}.steps"])
     n = int(meta["replay.size"])
@@ -478,20 +474,13 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         owner, _, name = attr.rpartition(".")
         obj = operator.attrgetter(owner)(trainer) if owner else trainer
         setattr(obj, name, type(getattr(obj, name))(meta[key]))  # the fresh trainer's type
-    trainer.master_rng.bit_generator.state = _rng_state(meta["master_rng"])
-    for i, state in enumerate(_worker_rngs(meta)):
-        trainer._workers.append(Worker(i, trainer.seed, trainer))
-        trainer._workers[i].rng.bit_generator.state = _rng_state(state)
+    trainer.master_rng.bit_generator.state = meta["master_rng"]
+    for worker, state in zip(trainer._workers, _worker_rngs(meta)):
+        worker.rng.bit_generator.state = state
     if out_dir:
         trainer.out_dir = Path(out_dir)
         trainer._open_logs(keep_rows=trainer.episodes_received)
     return trainer
-
-
-def _rng_state(state: dict) -> dict:
-    state = dict(state)
-    state["state"] = {k: int(v) for k, v in state["state"].items()}
-    return state
 
 
 def actor_from_checkpoint(path, dtype=np.float32) -> Actor:

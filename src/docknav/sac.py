@@ -212,15 +212,19 @@ class SacLearner:
         self.actor = Actor(obs_dim, act_dim, config.hidden, rng, dtype,
                            config.log_std_min, config.log_std_max, config.tanh_eps)
         self.critics = CriticPair(obs_dim, act_dim, config.hidden, rng, dtype)
-        self.log_alpha = math.log(config.initial_alpha)
         self.target_entropy = (config.target_entropy if config.target_entropy is not None
                                else -float(act_dim))
         self.adam_actor = AdamState(self.actor.net.parameters(), config.actor_lr)
         self.adam_q1 = AdamState(self.critics.q1.parameters(), config.critic_lr)
         self.adam_q2 = AdamState(self.critics.q2.parameters(), config.critic_lr)
-        self._alpha_param = [np.array([self.log_alpha])]
+        self._alpha_param = [np.array([math.log(config.initial_alpha)])]
         self.adam_alpha = AdamState(self._alpha_param, config.alpha_lr)
         self.n_updates = 0
+
+    @property
+    def log_alpha(self) -> float:
+        """The temperature's log, read from the one array Adam steps."""
+        return float(self._alpha_param[0][0])
 
     @property
     def alpha(self) -> float:
@@ -244,7 +248,6 @@ class SacLearner:
 
         tloss, tgrad = alpha_loss_and_grad(logp, self.log_alpha, self.target_entropy)
         adam_step(self._alpha_param, [np.array([tgrad])], self.adam_alpha)
-        self.log_alpha = float(self._alpha_param[0][0])
 
         self.n_updates += 1
         if self.n_updates % cfg.target_update_interval == 0:

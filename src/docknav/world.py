@@ -236,14 +236,13 @@ class _RayFan:
                             self._counts, axis=1)
         return origins, dirs
 
-    def frame(self, dist: np.ndarray, is_leg: np.ndarray) -> np.ndarray:
-        """Semantic rays as (..., rays, 2) of (depth in [0, 1], dolly flag)."""
-        return np.stack([dist / self.max_range, is_leg.astype(float)], axis=-1)
-
     def split(self, dist: np.ndarray, is_leg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A cast of :meth:`rays` (any leading batch axes) as (lidar, frame)."""
-        return (dist[..., self.lidar] / self.max_range,
-                self.frame(dist[..., self.semantic], is_leg[..., self.semantic]))
+        """A cast of :meth:`rays` (any leading batch axes) as (lidar, frame):
+        the LiDAR depths in [0, 1], and the semantic rays as (..., rays, 2) of
+        (depth in [0, 1], dolly flag)."""
+        frame = np.stack([dist[..., self.semantic] / self.max_range,
+                          is_leg[..., self.semantic].astype(float)], axis=-1)
+        return dist[..., self.lidar] / self.max_range, frame
 
 
 START_SCAN_CHUNK = 16  # tasks per batched cast: bounds its rays x segments temporaries
@@ -409,24 +408,20 @@ class World:
 
     # -- sensing -------------------------------------------------------
 
-    def _cast(self, rays: slice) -> tuple[np.ndarray, np.ndarray]:
-        origins, dirs = self._fan.rays([self.pose])
-        return geometry.cast_rays(origins[0, rays], dirs[0, rays], self._segments,
-                                  self._leg_centers, self._leg_radii, self.robot.lidar_max_range)
-
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
         """Both LiDARs and the semantic fan in one cast: (lidar, frame)."""
-        return self._fan.split(*self._cast(slice(None)))
+        origins, dirs = self._fan.rays([self.pose])
+        return self._fan.split(*geometry.cast_rays(
+            origins[0], dirs[0], self._segments, self._leg_centers, self._leg_radii,
+            self.robot.lidar_max_range))
 
     def lidar_scan(self) -> np.ndarray:
         """Both 128-beam sensors concatenated (front corner first), in [0, 1]."""
-        dist, _ = self._cast(self._fan.lidar)
-        return dist / self.robot.lidar_max_range
+        return self._scan()[0]
 
     def semantic_scan(self) -> np.ndarray:
         """Frontal rays over the camera FOV: (rays, 2) of (depth in [0,1], dolly flag)."""
-        dist, is_leg = self._cast(self._fan.semantic)
-        return self._fan.frame(dist, is_leg)
+        return self._scan()[1]
 
     def observation(self) -> np.ndarray:
         """Current flat observation; the t=0 one is read-only."""

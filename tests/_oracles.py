@@ -274,7 +274,6 @@ def sac_update_reference(learner, obs, act, rewards, terminals, next_obs, weight
     # temperature step and the periodic hard copy
     tloss = float(np.mean(-math.exp(learner.log_alpha) * (logp + learner.target_entropy)))
     adam_step(learner._alpha_param, [np.array([tloss])], learner.adam_alpha)
-    learner.log_alpha = float(learner._alpha_param[0][0])
     learner.n_updates += 1
     if learner.n_updates % cfg.target_update_interval == 0:
         critics.hard_update()

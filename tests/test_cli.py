@@ -108,3 +108,18 @@ def test_replay_renders_manual_trajectory(tmp_path):
     assert cli.main(["replay", str(path), "--out", str(out)]) == 0
     text = out.read_text()
     assert "<polyline" in text and "polygon" in text
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    '{"t": 0, "x": 1.0, "y": 1.0}\n{"t": 1, "x": 1.5, "y": 1.0}\n',
+    "[1, 2]\n",
+    "not json\n",
+], ids=["empty", "no_header", "not_object", "not_json"])
+def test_replay_rejects_file_without_scene_header(tmp_path, capsys, text):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text)
+    out = tmp_path / "t.svg"
+    assert cli.main(["replay", str(path), "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

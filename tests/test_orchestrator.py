@@ -308,19 +308,33 @@ def test_restore_then_updates_matches_uninterrupted(tmp_path):
     assert np.array_equal(ref.replay.tree.nodes, resumed.replay.tree.nodes)
 
 
-@pytest.mark.parametrize("workers, interrupt_at", [(1, 3), (3, 4)])
-def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
+@pytest.mark.parametrize("workers, interrupt_at, strip_worker_rngs", [
+    pytest.param(1, 3, False, id="1-3"),
+    pytest.param(3, 4, False, id="3-4"),
+    pytest.param(3, None, False, id="3-untrained"),
+    pytest.param(3, None, True, id="3-untrained-no-worker-rngs"),
+])
+def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at,
+                                               strip_worker_rngs):
     # uninterrupted: 6 episodes in one go
     full = make_trainer(out_dir=tmp_path / "full", episode_budget=6, batch_size=8,
                         workers=workers)
     full.train()
-    # interrupted: checkpoint mid-run (with 3 workers, mid-turn), restore into
-    # the same run directory, finish
+    # interrupted: checkpoint mid-run (with 3 workers, mid-turn) or before any
+    # train() call, restore into the same run directory, finish
     out = tmp_path / "resumed"
     first = make_trainer(out_dir=out, episode_budget=6, batch_size=8, workers=workers)
-    first.train(max_new_episodes=interrupt_at)
+    if interrupt_at is not None:
+        first.train(max_new_episodes=interrupt_at)
+    first.close_logs()
     path = tmp_path / "resume.ckpt"
     save_checkpoint(first, path)
+    if strip_worker_rngs:
+        # older checkpoints of a trainer that never trained hold no worker
+        # RNG streams: the restored workers start from their seeds
+        meta, arrays = read_checkpoint(path)
+        write_checkpoint(path, {k: v for k, v in meta.items()
+                                if not (k.startswith("worker") and k.endswith("_rng"))}, arrays)
     second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8,
                                                   workers=workers), out_dir=out)
     second.train()
@@ -330,6 +344,23 @@ def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
     assert second.replay.worker_ids[:n].tolist() == full.replay.worker_ids[:n].tolist()
     for name in ("telemetry.csv", "curriculum.csv"):
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def test_second_train_call_appends_to_logs(tmp_path):
+    once = make_trainer(out_dir=tmp_path / "once", episode_budget=6, batch_size=8)
+    once.train()
+    out = tmp_path / "twice"
+    twice = make_trainer(out_dir=out, episode_budget=6, batch_size=8, checkpoint_interval=2)
+    twice.train(max_new_episodes=3)
+    twice.train(max_new_episodes=3)
+    assert twice.episodes_received == 6
+    for name in ("telemetry.csv", "curriculum.csv"):
+        assert (out / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+    # the logs hold every row the second call's checkpoint counts
+    restored = restore_checkpoint(out / "episode_6.ckpt",
+                                  tiny_config(episode_budget=6, batch_size=8), out_dir=out)
+    restored.close_logs()
+    assert restored.episodes_received == 6
 
 
 def test_resume_rejects_logs_shorter_than_checkpoint(tmp_path):

@@ -341,7 +341,8 @@ def test_lidar_matches_bruteforce_oracle_on_random_scenes():
 @pytest.mark.parametrize("name", ["desk_nav.ini", "desk_nav_obstacles.ini"])
 def test_fused_scan_equals_per_sensor_scans(name):
     # step() and reset() cast both LiDARs and the semantic fan in one call;
-    # the float64 observation carries that cast's values unrounded
+    # the float64 observation carries that cast's values unrounded, the
+    # newest frame included, and the scans of the current pose read them back
     sl = observation_slices()
     actions = np.random.default_rng(4).uniform(-1, 1, size=(25, 2))
     for task in config_tasks(name, 12, seed=21):
