@@ -49,6 +49,9 @@ class Actor:
         self.net = DenseNet(sizes, acts, rng=rng, dtype=dtype)
 
     def dist_params(self, obs, tape=False):
+        """(mu, log_std, gate, tape). With ``tape``, ``gate`` is 1 where the
+        log-std clip passes its gradient and ``tape`` is the forward record;
+        without it both are None."""
         if tape:
             out, rec = self.net.forward_tape(obs)
         else:
@@ -57,7 +60,9 @@ class Actor:
         mu = out[:, : self.act_dim]
         raw = out[:, self.act_dim :]
         log_std = np.clip(raw, self.log_std_min, self.log_std_max)
-        gate = ((raw > self.log_std_min) & (raw < self.log_std_max)).astype(out.dtype)
+        gate = None
+        if tape:
+            gate = ((raw > self.log_std_min) & (raw < self.log_std_max)).astype(out.dtype)
         return mu, log_std, gate, rec
 
     def _squash(self, mu, log_std, noise):

@@ -55,6 +55,8 @@ class Pose:
 class RobotSpec:
     length: float = 1.273
     width: float = 0.63
+    # Read by nothing: World.step clamps |v| to 1 m/s, the real top speed.
+    # Kept because checkpoints store every field and rebuild the spec from them.
     max_speed: float = 1.2
     lidar_beams_per_sensor: int = 128
     lidar_fov: float = math.radians(225.0)
@@ -189,6 +191,34 @@ def observation_dim(robot: RobotSpec | None = None) -> int:
     return observation_slices(robot)["rewards"].stop
 
 
+def _collision_reach(robot: RobotSpec, dolly: DollySpec) -> float:
+    """Farthest a robot corner or the centre of a leg it touches can lie from
+    the robot's centre, plus 1e-6 for rounding. A wall, obstacle or leg whose
+    box is farther than this from the centre cannot collide and skips its
+    exact test."""
+    return 0.5 * math.hypot(robot.length, robot.width) + dolly.leg_radius + 1e-6
+
+
+class _ObstacleBoxes:
+    """A scene's obstacles for the robot-vs-obstacle test, their corners built
+    once: the test's one owner, for task sampling and for every step."""
+
+    def __init__(self, obstacles, reach: float):
+        self._boxes = [((xmin - reach, ymin - reach, xmax + reach, ymax + reach),
+                        geometry.aabb_corners(xmin, ymin, xmax, ymax))
+                       for xmin, ymin, xmax, ymax in obstacles]
+
+    def near(self, x: float, y: float) -> list[np.ndarray]:
+        """Corners of the obstacles whose box, grown by the reach, holds (x, y)."""
+        return [corners for (x0, y0, x1, y1), corners in self._boxes
+                if x0 <= x <= x1 and y0 <= y <= y1]
+
+    def hit(self, robot_corners: np.ndarray, x: float, y: float) -> bool:
+        """Whether the robot box ``robot_corners``, centred at (x, y), overlaps
+        an obstacle; only the near ones get the separating-axis test."""
+        return any(geometry.rects_overlap(robot_corners, corners) for corners in self.near(x, y))
+
+
 def scene_segments(config: WorldConfig) -> np.ndarray:
     """Edges of the room walls and of every obstacle box, shape (S, 2, 2)."""
     room = geometry.aabb_corners(0.0, 0.0, config.room_width, config.room_length)
@@ -211,30 +241,30 @@ class _RayFan:
         )
         self._sensor_diag = math.atan2(0.5 * robot.width, 0.5 * robot.length)
         n = robot.lidar_beams_per_sensor
-        self._lidar_offsets = np.linspace(-0.5 * robot.lidar_fov, 0.5 * robot.lidar_fov, n)
+        lidar_offsets = np.linspace(-0.5 * robot.lidar_fov, 0.5 * robot.lidar_fov, n)
         m = robot.semantic_rays
         if m == 1:
-            self._semantic_offsets = np.zeros(1)
+            semantic_offsets = np.zeros(1)
         else:
-            self._semantic_offsets = np.linspace(-0.5 * robot.camera_fov, 0.5 * robot.camera_fov, m)
-        self._counts = [n, n, m]
+            semantic_offsets = np.linspace(-0.5 * robot.camera_fov, 0.5 * robot.camera_fov, m)
+        self.counts = [n, n, m]  # rays per origin
+        self._offsets = np.concatenate([lidar_offsets, lidar_offsets, semantic_offsets])
         self.lidar = slice(0, 2 * n)
         self.semantic = slice(2 * n, 2 * n + m)
 
-    def rays(self, poses) -> tuple[np.ndarray, np.ndarray]:
-        """(origins, unit directions), each (len(poses), rays, 2)."""
+    def rays(self, poses) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(points, dx, dy) for :func:`geometry.cast_rays` with ``counts``:
+        the ray origins (len(poses), 3, 2), front LiDAR, rear LiDAR and centre,
+        and the unit directions' components, each (len(poses), rays)."""
         yaw = np.array([p.yaw for p in poses])
         position = np.array([[p.x, p.y] for p in poses])
         rot = np.array([[[math.cos(p.yaw), -math.sin(p.yaw)], [math.sin(p.yaw), math.cos(p.yaw)]]
                         for p in poses])
         sensors = self._sensor_local @ rot.transpose(0, 2, 1) + position[:, None, :]
-        angles = np.concatenate([(yaw + self._sensor_diag)[:, None] + self._lidar_offsets,
-                                 (yaw + math.pi + self._sensor_diag)[:, None] + self._lidar_offsets,
-                                 yaw[:, None] + self._semantic_offsets], axis=1)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        origins = np.repeat(np.concatenate([sensors, position[:, None, :]], axis=1),
-                            self._counts, axis=1)
-        return origins, dirs
+        headings = np.stack([yaw + self._sensor_diag, yaw + math.pi + self._sensor_diag, yaw], axis=1)
+        angles = np.repeat(headings, self.counts, axis=1) + self._offsets
+        points = np.concatenate([sensors, position[:, None, :]], axis=1)
+        return points, np.cos(angles), np.sin(angles)
 
     def split(self, dist: np.ndarray, is_leg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A cast of :meth:`rays` (any leading batch axes) as (lidar, frame):
@@ -270,9 +300,9 @@ def start_observations(configs, robot: RobotSpec | None = None,
         segments = np.zeros((len(chunk), max(len(seg) for seg in scenes), 2, 2))
         for i, seg in enumerate(scenes):
             segments[i, :len(seg)] = seg
-        origins, dirs = fan.rays([cfg.robot_start for cfg in chunk])
+        points, dx, dy = fan.rays([cfg.robot_start for cfg in chunk])
         legs = np.stack([dolly.leg_centers(cfg.dolly_pose) for cfg in chunk])
-        dist, is_leg = geometry.cast_rays(origins, dirs, segments, legs, radii,
+        dist, is_leg = geometry.cast_rays(points, fan.counts, dx, dy, segments, legs, radii,
                                           robot.lidar_max_range)
         lidar, frames = fan.split(dist, is_leg)
         rows = obs[lo:lo + len(chunk)]
@@ -323,6 +353,9 @@ class World:
         self._segments = scene_segments(self.config)
         self._leg_centers = self.dolly.leg_centers(self.config.dolly_pose)
         self._leg_radii = np.full(4, self.dolly.leg_radius)
+        self._legs = self._leg_centers.tolist()
+        self._reach = _collision_reach(self.robot, self.dolly)
+        self._obstacles = _ObstacleBoxes(self.config.obstacles, self._reach)
         self._fan = _RayFan(self.robot)
         self._slices = observation_slices(self.robot)
 
@@ -379,24 +412,21 @@ class World:
         return d < GOAL_DISTANCE
 
     def _check_collisions(self) -> tuple[bool, bool]:
-        corners = geometry.rect_corners(
-            self.pose.x, self.pose.y, self.pose.yaw, self.robot.length, self.robot.width
-        )
+        """(dolly leg hit, wall or obstacle hit). A broad phase on the robot
+        centre skips each exact test that :func:`_collision_reach` rules out."""
+        x, y, yaw = self.pose.x, self.pose.y, self.pose.yaw
+        reach, length, width = self._reach, self.robot.length, self.robot.width
         collision_dolly = any(
-            geometry.point_rect_distance(
-                cx, cy, self.pose.x, self.pose.y, self.pose.yaw, self.robot.length, self.robot.width
-            )
-            < self.dolly.leg_radius
-            for cx, cy in self._leg_centers
+            geometry.point_rect_distance(cx, cy, x, y, yaw, length, width) < self.dolly.leg_radius
+            for cx, cy in self._legs if abs(cx - x) <= reach and abs(cy - y) <= reach
         )
-        collision_other = not geometry.corners_inside_room(
-            corners, self.config.room_width, self.config.room_length
-        )
-        if not collision_other:
-            for ob in self.config.obstacles:
-                if geometry.rects_overlap(corners, geometry.aabb_corners(*ob)):
-                    collision_other = True
-                    break
+        room_w, room_l = self.config.room_width, self.config.room_length
+        near_wall = not (reach <= x <= room_w - reach and reach <= y <= room_l - reach)
+        if not (near_wall or self._obstacles.near(x, y)):
+            return collision_dolly, False
+        corners = geometry.rect_corners(x, y, yaw, length, width)
+        collision_other = ((near_wall and not geometry.corners_inside_room(corners, room_w, room_l))
+                           or self._obstacles.hit(corners, x, y))
         return collision_dolly, collision_other
 
     def start_state_unreachable(self) -> bool:
@@ -410,10 +440,10 @@ class World:
 
     def _scan(self) -> tuple[np.ndarray, np.ndarray]:
         """Both LiDARs and the semantic fan in one cast: (lidar, frame)."""
-        origins, dirs = self._fan.rays([self.pose])
+        points, dx, dy = self._fan.rays([self.pose])
         return self._fan.split(*geometry.cast_rays(
-            origins[0], dirs[0], self._segments, self._leg_centers, self._leg_radii,
-            self.robot.lidar_max_range))
+            points[0], self._fan.counts, dx[0], dy[0], self._segments, self._leg_centers,
+            self._leg_radii, self.robot.lidar_max_range))
 
     def lidar_scan(self) -> np.ndarray:
         """Both 128-beam sensors concatenated (front corner first), in [0, 1]."""
@@ -590,10 +620,7 @@ def sample_task(
         ):
             failures["pose_outside_room"] += 1
             continue
-        start_hit = any(
-            geometry.rects_overlap(robot_corners, geometry.aabb_corners(*ob)) for ob in obstacles
-        )
-        if start_hit:
+        if _ObstacleBoxes(obstacles, _collision_reach(robot, dolly)).hit(robot_corners, rx, ry):
             failures["start_collides"] += 1
             continue
         return task_from_config(config)

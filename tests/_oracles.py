@@ -4,6 +4,8 @@ These deliberately re-derive results through different formulas than the
 package code (implicit-line intersection and hit-point projection instead of
 the parametric cross-product solve, substep Euler integration instead of
 closed-form arcs, plain loops instead of tapes) so agreement is meaningful.
+Most ``*_reference`` functions instead freeze an earlier form of the package
+code, which a faster form must match bit for bit.
 """
 
 import math
@@ -115,6 +117,93 @@ def semantic_ray_geometry(pose, robot):
         offs = np.linspace(-0.5 * robot.camera_fov, 0.5 * robot.camera_fov, robot.semantic_rays)
     origins = [(pose.x, pose.y)] * robot.semantic_rays
     return origins, pose.yaw + offs
+
+
+def ray_fan_reference(poses, robot):
+    """Per-ray origins and unit directions, each (len(poses), rays, 2), of
+    the front LiDAR, the rear LiDAR and the semantic fan: the ray set-up of
+    the per-ray cast, frozen."""
+    sensor_local = np.array([[0.5 * robot.length, 0.5 * robot.width],
+                             [-0.5 * robot.length, -0.5 * robot.width]])
+    sensor_diag = math.atan2(0.5 * robot.width, 0.5 * robot.length)
+    n = robot.lidar_beams_per_sensor
+    lidar_offsets = np.linspace(-0.5 * robot.lidar_fov, 0.5 * robot.lidar_fov, n)
+    m = robot.semantic_rays
+    if m == 1:
+        semantic_offsets = np.zeros(1)
+    else:
+        semantic_offsets = np.linspace(-0.5 * robot.camera_fov, 0.5 * robot.camera_fov, m)
+    yaw = np.array([p.yaw for p in poses])
+    position = np.array([[p.x, p.y] for p in poses])
+    rot = np.array([[[math.cos(p.yaw), -math.sin(p.yaw)], [math.sin(p.yaw), math.cos(p.yaw)]]
+                    for p in poses])
+    sensors = sensor_local @ rot.transpose(0, 2, 1) + position[:, None, :]
+    angles = np.concatenate([(yaw + sensor_diag)[:, None] + lidar_offsets,
+                             (yaw + math.pi + sensor_diag)[:, None] + lidar_offsets,
+                             yaw[:, None] + semantic_offsets], axis=1)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    origins = np.repeat(np.concatenate([sensors, position[:, None, :]], axis=1),
+                        [n, n, m], axis=1)
+    return origins, dirs
+
+
+def cast_rays_reference(origins, dirs, segments, circle_centers, circle_radii, max_range):
+    """The per-ray cast, frozen: origins and dirs (..., R, 2), every term
+    computed on (..., S, R). ``geometry.cast_rays`` must match it bit for bit."""
+    seg_dist = np.full(origins.shape[:-1], np.inf)
+    if segments.shape[-3] > 0:
+        ox, oy = origins[..., None, :, 0], origins[..., None, :, 1]
+        dx, dy = dirs[..., None, :, 0], dirs[..., None, :, 1]
+        ax, ay = segments[..., :, None, 0, 0], segments[..., :, None, 0, 1]
+        ex = segments[..., :, None, 1, 0] - ax
+        ey = segments[..., :, None, 1, 1] - ay
+        denom = dx * ey - dy * ex
+        aox, aoy = ax - ox, ay - oy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (aox * ey - aoy * ex) / denom
+            s = (aox * dy - aoy * dx) / denom
+        ok = (np.abs(denom) > 1e-12) & (t >= 0.0) & (s >= 0.0) & (s <= 1.0)
+        t = np.where(ok, t, np.inf)
+        seg_dist = t.min(axis=-2)
+
+    cir_dist = np.full(origins.shape[:-1], np.inf)
+    if circle_centers.shape[-2] > 0:
+        ocx = circle_centers[..., :, None, 0] - origins[..., None, :, 0]
+        ocy = circle_centers[..., :, None, 1] - origins[..., None, :, 1]
+        proj = ocx * dirs[..., None, :, 0] + ocy * dirs[..., None, :, 1]
+        perp2 = (ocx * ocx + ocy * ocy) - proj**2
+        disc = circle_radii[..., :, None] ** 2 - perp2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        t = proj - root
+        ok = (disc >= 0.0) & (t >= 0.0)
+        t = np.where(ok, t, np.inf)
+        cir_dist = t.min(axis=-2)
+
+    first_is_circle = (cir_dist < seg_dist) & (cir_dist <= max_range)
+    dist = np.minimum(np.minimum(seg_dist, cir_dist), max_range)
+    return dist, first_is_circle
+
+
+def check_collisions_reference(world):
+    """``World._check_collisions`` without a broad phase, frozen: every leg,
+    the walls and every obstacle get their exact test on every call.
+    Returns (dolly leg hit, wall or obstacle hit)."""
+    from docknav import geometry
+
+    pose, robot, config = world.pose, world.robot, world.config
+    corners = geometry.rect_corners(pose.x, pose.y, pose.yaw, robot.length, robot.width)
+    collision_dolly = any(
+        geometry.point_rect_distance(cx, cy, pose.x, pose.y, pose.yaw, robot.length, robot.width)
+        < world.dolly.leg_radius
+        for cx, cy in world.dolly.leg_centers(config.dolly_pose)
+    )
+    collision_other = not geometry.corners_inside_room(corners, config.room_width, config.room_length)
+    if not collision_other:
+        for ob in config.obstacles:
+            if geometry.rects_overlap(corners, geometry.aabb_corners(*ob)):
+                collision_other = True
+                break
+    return collision_dolly, collision_other
 
 
 def forward_oracle(net, x):

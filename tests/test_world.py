@@ -8,6 +8,7 @@ import pytest
 
 from docknav import geometry
 from docknav.config import parse_config
+from docknav.grid_eval import GridEvalConfig
 from docknav.world import (
     HISTORY_LEN,
     START_SCAN_CHUNK,
@@ -33,10 +34,13 @@ from docknav.world import (
 )
 
 from _oracles import (
+    cast_rays_reference,
+    check_collisions_reference,
     euler_unicycle,
     lidar_ray_geometry,
     raycast_oracle,
     raycast_oracle_many,
+    ray_fan_reference,
     scene_primitives,
     semantic_ray_geometry,
 )
@@ -263,7 +267,7 @@ def test_configurable_sensor_counts():
 def test_ray_simple_wall_distance():
     segments = np.array([[[3.0, -5.0], [3.0, 5.0]]])
     dist, is_leg = geometry.cast_rays(
-        np.zeros((1, 2)), np.array([[1.0, 0.0]]), segments,
+        np.zeros((1, 2)), [1], np.array([1.0]), np.array([0.0]), segments,
         np.zeros((0, 2)), np.zeros(0), 6.0,
     )
     assert dist[0] / 6.0 == pytest.approx(0.5, abs=0)
@@ -272,10 +276,100 @@ def test_ray_simple_wall_distance():
 
 def test_ray_no_hit_clamps_to_max_range():
     dist, _ = geometry.cast_rays(
-        np.zeros((1, 2)), np.array([[1.0, 0.0]]),
+        np.zeros((1, 2)), [1], np.array([1.0]), np.array([0.0]),
         np.array([[[10.0, -5.0], [10.0, 5.0]]]), np.zeros((0, 2)), np.zeros(0), 6.0,
     )
     assert dist[0] / 6.0 == pytest.approx(1.0, abs=0)
+
+
+POSE_SOURCES = ["desk_nav.ini", "desk_nav_obstacles.ini", "grid"]
+
+
+def source_scenes(source):
+    """Scenes to pose robots in: 30 tasks drawn from a config's bounds, or
+    the grid-evaluation room."""
+    if source == "grid":
+        return [GridEvalConfig().world_config(0, 0, 0.0)]
+    return [task.config for task in config_tasks(source, 30, seed=31)]
+
+
+def random_poses(cfg, n, rng):
+    """``n`` poses anywhere in the room, walls and obstacles included."""
+    return [Pose(rng.uniform(0.0, cfg.room_width), rng.uniform(0.0, cfg.room_length),
+                 rng.uniform(-math.pi, math.pi)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("source", POSE_SOURCES)
+def test_grouped_cast_equals_per_ray_cast(source):
+    # 300 poses per source: the origin-grouped cast and the frozen per-ray
+    # cast give the same distance and hit-mask bits, and so does every scan
+    rng = np.random.default_rng(17)
+    scenes = source_scenes(source)
+    for cfg in scenes:
+        w = World(cfg)
+        for pose in random_poses(cfg, 300 // len(scenes), rng):
+            origins, dirs = ray_fan_reference([pose], w.robot)
+            expected = cast_rays_reference(origins[0], dirs[0], w._segments, w._leg_centers,
+                                           w._leg_radii, w.robot.lidar_max_range)
+            points, dx, dy = w._fan.rays([pose])
+            assert np.array_equal(np.repeat(points[0], w._fan.counts, axis=0), origins[0])
+            assert np.array_equal(np.stack([dx[0], dy[0]], axis=-1), dirs[0])
+            dist, is_leg = geometry.cast_rays(points[0], w._fan.counts, dx[0], dy[0],
+                                              w._segments, w._leg_centers, w._leg_radii,
+                                              w.robot.lidar_max_range)
+            assert np.array_equal(dist, expected[0]) and np.array_equal(is_leg, expected[1])
+            w.pose = pose
+            lidar, frame = w._fan.split(*expected)
+            assert np.array_equal(w.lidar_scan(), lidar)
+            assert np.array_equal(w.semantic_scan(), frame)
+
+
+def poses_touching(w, rng, gaps=(-1e-9, 0.0, 1e-9)):
+    """Poses whose footprint lies ``gap`` short of touching each wall, each
+    obstacle face and each dolly leg (negative gaps overlap), yaw random."""
+    cfg, robot, r = w.config, w.robot, w.dolly.leg_radius
+    hl, hw = 0.5 * robot.length, 0.5 * robot.width
+    poses = []
+    for gap in gaps:
+        yaw = rng.uniform(-math.pi, math.pi)
+        c, s = math.cos(yaw), math.sin(yaw)
+        corners = [(c * lx - s * ly, s * lx + c * ly) for lx, ly in
+                   ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw))]
+        # the corner that reaches farthest toward -x, +x, -y and +y
+        lo_x, hi_x = min(corners), max(corners)
+        lo_y, hi_y = min(corners, key=lambda p: p[1]), max(corners, key=lambda p: p[1])
+        mid_x, mid_y = 0.5 * cfg.room_width, 0.5 * cfg.room_length
+        poses += [Pose(gap - lo_x[0], mid_y, yaw), Pose(cfg.room_width - gap - hi_x[0], mid_y, yaw),
+                  Pose(mid_x, gap - lo_y[1], yaw), Pose(mid_x, cfg.room_length - gap - hi_y[1], yaw)]
+        for xmin, ymin, xmax, ymax in cfg.obstacles:
+            u, v = rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)
+            poses += [Pose(xmin - gap - hi_x[0], v - hi_x[1], yaw),
+                      Pose(xmax + gap - lo_x[0], v - lo_x[1], yaw),
+                      Pose(u - hi_y[0], ymin - gap - hi_y[1], yaw),
+                      Pose(u - lo_y[0], ymax + gap - lo_y[1], yaw)]
+        for lx, ly in w.dolly.leg_centers(cfg.dolly_pose):
+            # the leg's centre lies r + gap off the robot's front or side
+            for local in ((hl + r + gap, rng.uniform(-hw, hw)), (rng.uniform(-hl, hl), hw + r + gap)):
+                poses.append(Pose(lx - (c * local[0] - s * local[1]),
+                                  ly - (s * local[0] + c * local[1]), yaw))
+    return poses
+
+
+@pytest.mark.parametrize("source", POSE_SOURCES)
+def test_broad_phase_collisions_equal_exact_tests(source):
+    # the broad phase skips only tests that would come out False: flags equal
+    # the frozen exhaustive check on random poses and on poses within 1e-9 m
+    # of touching every wall, obstacle face and leg
+    rng = np.random.default_rng(23)
+    seen = set()
+    for cfg in source_scenes(source):
+        w = World(cfg)
+        for pose in random_poses(cfg, 20, rng) + poses_touching(w, rng) + poses_touching(w, rng):
+            w.pose = pose
+            flags = w._check_collisions()
+            assert flags == check_collisions_reference(w), pose
+            seen.add(flags)
+    assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_semantic_center_ray_sees_leg():
