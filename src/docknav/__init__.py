@@ -3,7 +3,6 @@ replay, success-prediction curriculum, and the grid evaluation harness."""
 
 from .config import RunConfig, parse_config
 from .world import (
-    Action,
     DollySpec,
     Pose,
     RobotSpec,
@@ -18,6 +17,6 @@ from .world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Action", "DollySpec", "Pose", "RobotSpec", "RunConfig", "Task", "TaskBounds",
-    "World", "WorldConfig", "compute_reward", "parse_config", "sample_task",
+    "DollySpec", "Pose", "RobotSpec", "RunConfig", "Task", "TaskBounds", "World",
+    "WorldConfig", "compute_reward", "parse_config", "sample_task",
 ]

@@ -60,6 +60,8 @@ def cmd_eval_grid(args) -> int:
 
 
 def cmd_histograms(args) -> int:
+    if args.window < 1:
+        raise ValueError(f"--window must be at least 1, got {args.window}")
     reporting.write_distance_histograms(args.telemetry, args.out, window=args.window)
     print(f"wrote {args.out}")
     return 0
@@ -70,6 +72,10 @@ def cmd_replay(args) -> int:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not (lines and isinstance(lines[0], dict) and lines[0].get("type") == "scene"):
         raise ValueError(f"{args.trajectory}: the first line is not a scene header")
+    for n, record in enumerate(lines[1:], start=1):
+        missing = [key for key in ("x", "y") if not isinstance(record, dict) or key not in record]
+        if missing:
+            raise ValueError(f"{args.trajectory}: record {n} has no {' or '.join(missing)}")
     svg.write_trajectory(args.out, lines[0], lines[1:])
     print(f"wrote {args.out}")
     return 0

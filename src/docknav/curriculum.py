@@ -143,10 +143,8 @@ class SuccessPredictor:
     ReLU hidden layers and a sigmoid head, trained with binary cross-entropy
     on standardized features."""
 
-    def __init__(self, rng, hidden=(32, 32), learning_rate: float = 4e-4, dtype=np.float64):
-        sizes = [N_FEATURES, *hidden, 1]
-        acts = ["relu"] * len(hidden) + ["sigmoid"]
-        self.net = DenseNet(sizes, acts, rng=rng, dtype=dtype)
+    def __init__(self, rng, learning_rate: float = 4e-4):
+        self.net = DenseNet([N_FEATURES, 32, 32, 1], ["relu", "relu", "sigmoid"], rng=rng)
         self.stats = RunningStats()
         self.adam = AdamState(self.net.parameters(), learning_rate)
 
@@ -188,15 +186,13 @@ def bce_loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
 
 
-def initial_q_feature(critic: DenseNet, actor, observation) -> float:
-    """Critic value of the start state under the policy's mean action - the
-    learned difficulty signal appended to the geometric task features."""
-    return float(initial_q_features(critic, actor, np.asarray(observation)[None, :])[0])
-
-
-def initial_q_features(critic: DenseNet, actor, observations) -> np.ndarray:
-    """:func:`initial_q_feature` of a stack of start observations, with one
-    actor and one critic forward."""
+def initial_q_feature(critic: DenseNet, actor, observations):
+    """Critic value of a start state under the policy's mean action - the
+    learned difficulty signal appended to the geometric task features. One
+    observation gives a float; a stack of them gives an array, from one actor
+    and one critic forward."""
     observations = np.asarray(observations)
-    actions, _ = actor.sample_with_noise(observations, np.zeros((len(observations), actor.act_dim)))
-    return critic.forward(np.concatenate([observations, actions], axis=1))[:, 0]
+    stack = np.atleast_2d(observations)
+    actions, _ = actor.sample_with_noise(stack, np.zeros((len(stack), actor.act_dim)))
+    q = critic.forward(np.concatenate([stack, actions], axis=1))[:, 0]
+    return float(q[0]) if observations.ndim == 1 else q

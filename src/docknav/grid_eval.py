@@ -141,7 +141,6 @@ def run_grid_eval(
     config: GridEvalConfig | None = None,
     out_dir=None,
     robot: world.RobotSpec | None = None,
-    dolly: world.DollySpec | None = None,
     step_limit: int = world.DEFAULT_STEP_LIMIT,
     dtype=np.float32,
     trajectory_limit: int = 0,
@@ -155,7 +154,6 @@ def run_grid_eval(
     """
     config = config or GridEvalConfig()
     robot = robot or world.RobotSpec()
-    dolly = dolly or world.DollySpec()
     n = config.positions_per_side
     n_or = len(config.orientations_deg)
     successes = np.zeros((n_or, n, n), dtype=np.int64)
@@ -172,7 +170,7 @@ def run_grid_eval(
             for ix in range(n):
                 wcfg = config.world_config(ix, iy, odeg)
                 record = traj_saved < trajectory_limit and out_dir is not None
-                w = world.World(wcfg, robot, dolly, step_limit, dtype,
+                w = world.World(wcfg, robot, step_limit=step_limit, dtype=dtype,
                                 record_trajectory=record)
                 if w.start_state_unreachable():
                     valid[io, iy, ix] = False

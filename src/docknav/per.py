@@ -121,7 +121,6 @@ class Episode:
     """A completed rollout as produced by a worker for the trainer."""
 
     worker_id: int
-    task: object  # world.Task
     task_type: str
     features: np.ndarray  # 5 curriculum inputs recorded at selection time
     fpi_prediction: float  # NaN when the curriculum was bypassed
@@ -249,10 +248,6 @@ class EpisodeQueue:
     def close(self) -> None:
         self._closed.set()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed.is_set()
-
     def put(self, episode: Episode, poll_interval: float = 0.05) -> None:
         while True:
             if self._closed.is_set():
@@ -269,11 +264,3 @@ class EpisodeQueue:
             return self._q.get(timeout=timeout)
         except queue.Empty:
             return None
-
-    def drain(self) -> list[Episode]:
-        out = []
-        while True:
-            try:
-                out.append(self._q.get_nowait())
-            except queue.Empty:
-                return out

@@ -12,6 +12,7 @@ import numpy as np
 DISTANCE_RANGE = (1.5, 5.0)
 DISTANCE_BINS = 14
 HISTOGRAM_WINDOW = 10000  # episodes per histogram stage
+CURVE_WINDOW = 500  # episodes per training-curve moving average
 
 CURVE_FIELDS = ["episode", "return_ma", "success_ma"]
 HISTOGRAM_FIELDS = ["window_start", "window_end", "bin_low", "bin_high", "count"]
@@ -27,24 +28,28 @@ def moving_average(values, window: int = 500) -> np.ndarray:
     return (csum[idx] - csum[lo]) / (idx - lo)
 
 
-def read_telemetry(path) -> dict[str, np.ndarray]:
+def _read_columns(path, columns: dict) -> dict[str, np.ndarray]:
+    """Each of ``columns`` (name -> converter) of a CSV file as an array;
+    a header without one of them raises ValueError naming it."""
     with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {
-        "episode": np.array([int(r["episode"]) for r in rows]),
-        "worker_id": np.array([int(r["worker_id"]) for r in rows]),
-        "return": np.array([float(r["return"]) for r in rows]),
-        "steps": np.array([int(r["steps"]) for r in rows]),
-        "success": np.array([int(r["success"]) for r in rows]),
-        "snapshot_version": np.array([int(r["snapshot_version"]) for r in rows]),
-    }
+        reader = csv.DictReader(fh)
+        missing = [name for name in columns if name not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
+        rows = list(reader)
+    return {name: np.array([convert(r[name]) for r in rows]) for name, convert in columns.items()}
 
 
-def write_training_curves(telemetry_path, out_path, window: int = 500) -> None:
+def read_telemetry(path) -> dict[str, np.ndarray]:
+    return _read_columns(path, {"episode": int, "worker_id": int, "return": float,
+                                "steps": int, "success": int, "snapshot_version": int})
+
+
+def write_training_curves(telemetry_path, out_path) -> None:
     """Moving-average return and success-rate curves from a telemetry CSV."""
     data = read_telemetry(telemetry_path)
-    ret_ma = moving_average(data["return"], window)
-    suc_ma = moving_average(data["success"], window)
+    ret_ma = moving_average(data["return"], CURVE_WINDOW)
+    suc_ma = moving_average(data["success"], CURVE_WINDOW)
     with open(out_path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(CURVE_FIELDS)
@@ -53,18 +58,11 @@ def write_training_curves(telemetry_path, out_path, window: int = 500) -> None:
 
 
 def read_curriculum_log(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    return {
-        "episode": np.array([int(r["episode"]) for r in rows]),
-        "distance": np.array([float(r["distance"]) for r in rows]),
-        "task_type": np.array([r["task_type"] for r in rows]),
-        "success": np.array([int(r["success"]) for r in rows]),
-    }
+    return _read_columns(path, {"episode": int, "distance": float, "task_type": str,
+                                "success": int})
 
 
-def distance_histograms(distances, episodes, window: int = HISTOGRAM_WINDOW,
-                        bins: int = DISTANCE_BINS) -> list[list]:
+def distance_histograms(distances, episodes, window: int = HISTOGRAM_WINDOW) -> list[list]:
     """Histogram rows of agent-goal distance per training-stage window.
 
     Distances are clipped into the fixed [1.5, 5] m range so no recorded task
@@ -72,7 +70,7 @@ def distance_histograms(distances, episodes, window: int = HISTOGRAM_WINDOW,
     """
     distances = np.asarray(distances, dtype=np.float64)
     episodes = np.asarray(episodes)
-    edges = np.linspace(DISTANCE_RANGE[0], DISTANCE_RANGE[1], bins + 1)
+    edges = np.linspace(DISTANCE_RANGE[0], DISTANCE_RANGE[1], DISTANCE_BINS + 1)
     rows = []
     if len(episodes) == 0:
         return rows
@@ -82,7 +80,7 @@ def distance_histograms(distances, episodes, window: int = HISTOGRAM_WINDOW,
         mask = (episodes > start) & (episodes <= end)
         clipped = np.clip(distances[mask], *DISTANCE_RANGE)
         counts, _ = np.histogram(clipped, bins=edges)
-        for b in range(bins):
+        for b in range(DISTANCE_BINS):
             rows.append([start + 1, end, f"{edges[b]:.6f}", f"{edges[b + 1]:.6f}", int(counts[b])])
     return rows
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+from .world import DollySpec
+
 _LOW = (44, 62, 144)  # near-zero success
 _HIGH = (247, 217, 56)  # certain success
 
@@ -18,11 +20,12 @@ def _cell_color(value: float | None) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def write_heatmap(path, values, title: str, cell_px: int = 36) -> None:
+def write_heatmap(path, values, title: str) -> None:
     """Grid heatmap; ``values`` is a list of rows (row 0 drawn at the bottom),
     entries in [0, 1] or None for invalid cells."""
     ny = len(values)
     nx = len(values[0])
+    cell_px = 36
     margin = 44
     width = nx * cell_px + 2 * margin
     height = ny * cell_px + 2 * margin
@@ -46,11 +49,11 @@ def write_heatmap(path, values, title: str, cell_px: int = 36) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trajectory(path, scene: dict, records: list[dict], size_px: int = 600) -> None:
+def write_trajectory(path, scene: dict, records: list[dict]) -> None:
     """Room, obstacles, dolly footprint and legs, and the driven path."""
     room_w = scene["room_width"]
     room_l = scene["room_length"]
-    scale = size_px / max(room_w, room_l)
+    scale = 600 / max(room_w, room_l)  # the longer room side spans 600 px
     pad = 20
 
     def sx(x):
@@ -75,7 +78,8 @@ def write_trajectory(path, scene: dict, records: list[dict], size_px: int = 600)
     dolly = scene.get("dolly")
     if dolly:
         c, s = math.cos(dolly["yaw"]), math.sin(dolly["yaw"])
-        hl, hw = 0.5 * 1.23, 0.5 * 0.82
+        spec = DollySpec()
+        hl, hw = 0.5 * spec.length, 0.5 * spec.width
         pts = []
         for lx, ly in ((hl, hw), (-hl, hw), (-hl, -hw), (hl, -hw)):
             wx = dolly["x"] + c * lx - s * ly

@@ -31,6 +31,7 @@ GOAL_REWARD = 10.0
 
 HISTORY_LEN = 4  # stacked frames / actions / rewards
 DEFAULT_STEP_LIMIT = 500
+TASK_RETRY_CAP = 100  # scene draws sample_task tries before it gives up
 
 
 class SimulationError(RuntimeError):
@@ -90,12 +91,6 @@ class DollySpec:
     def check_against(self, robot: RobotSpec) -> None:
         if not self.width > robot.width:
             raise ValueError("dolly must be wider than the robot for docking to be possible")
-
-
-@dataclass(frozen=True)
-class Action:
-    v: float
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -374,10 +369,7 @@ class World:
     def step(self, action) -> StepOutcome:
         if self.terminal:
             raise SimulationError("step() called on a terminal episode")
-        if isinstance(action, Action):
-            v, omega = action.v, action.omega
-        else:
-            v, omega = float(action[0]), float(action[1])
+        v, omega = float(action[0]), float(action[1])
         if not (math.isfinite(v) and math.isfinite(omega)):
             raise SimulationError(f"non-finite action ({v}, {omega})")
         v = min(max(v, -1.0), 1.0)
@@ -563,7 +555,6 @@ def sample_task(
     bounds: TaskBounds | None = None,
     robot: RobotSpec | None = None,
     dolly: DollySpec | None = None,
-    retry_cap: int = 100,
 ) -> Task:
     """Draw one randomized episode configuration.
 
@@ -575,7 +566,7 @@ def sample_task(
     robot = robot or RobotSpec()
     dolly = dolly or DollySpec()
     failures = {"pose_outside_room": 0, "start_collides": 0}
-    for _ in range(retry_cap):
+    for _ in range(TASK_RETRY_CAP):
         room_w = rng.uniform(*bounds.room_side)
         room_l = rng.uniform(*bounds.room_side)
         rx = 0.5 * room_w + rng.uniform(-bounds.position_jitter, bounds.position_jitter)
@@ -624,4 +615,4 @@ def sample_task(
             failures["start_collides"] += 1
             continue
         return task_from_config(config)
-    raise TaskSamplingError(f"retry cap {retry_cap} exhausted: {failures}")
+    raise TaskSamplingError(f"retry cap {TASK_RETRY_CAP} exhausted: {failures}")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import docknav
 from docknav import cli
 from docknav.world import Pose, World, WorldConfig
 
@@ -110,12 +111,18 @@ def test_replay_renders_manual_trajectory(tmp_path):
     assert "<polyline" in text and "polygon" in text
 
 
+SCENE = '{"type": "scene", "room_width": 10, "room_length": 10}\n'
+
+
 @pytest.mark.parametrize("text", [
     "",
     '{"t": 0, "x": 1.0, "y": 1.0}\n{"t": 1, "x": 1.5, "y": 1.0}\n',
     "[1, 2]\n",
     "not json\n",
-], ids=["empty", "no_header", "not_object", "not_json"])
+    SCENE + '{"t": 0, "x": 1.0, "y": 1.0}\n{"t": 1, "x": 1.5}\n',
+    SCENE + "[1.0, 1.0]\n",
+], ids=["empty", "no_header", "not_object", "not_json", "record_without_y",
+        "record_not_object"])
 def test_replay_rejects_file_without_scene_header(tmp_path, capsys, text):
     path = tmp_path / "t.jsonl"
     path.write_text(text)
@@ -123,3 +130,31 @@ def test_replay_rejects_file_without_scene_header(tmp_path, capsys, text):
     assert cli.main(["replay", str(path), "--out", str(out)]) == 1
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+CURRICULUM_LOG = "episode,task_type,distance,success\n1,random,2.0,0\n"
+TELEMETRY_LOG = "episode,worker_id,return,steps,success,task_type\n1,0,-1.0,10,0,random\n"
+
+
+@pytest.mark.parametrize("window, text, message", [
+    ("0", CURRICULUM_LOG, "--window"),
+    ("-5", CURRICULUM_LOG, "--window"),
+    ("10", TELEMETRY_LOG, "distance"),
+], ids=["window_zero", "window_negative", "no_curriculum_columns"])
+def test_histograms_rejects_bad_window_and_log(tmp_path, capsys, window, text, message):
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    out = tmp_path / "hist.csv"
+    rc = cli.main(["histograms", "--telemetry", str(path), "--out", str(out),
+                   "--window", window])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_package_exports_resolve():
+    for name in docknav.__all__:
+        assert hasattr(docknav, name), name
+    namespace = {}
+    exec("from docknav import *", namespace)
+    assert set(docknav.__all__) <= namespace.keys()

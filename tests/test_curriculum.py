@@ -286,13 +286,21 @@ def test_initial_q_zero_critic():
 
 
 def test_initial_q_deterministic_and_matches_forward():
-    rng = np.random.default_rng(14)
-    actor = Actor(4, 2, (8,), rng)
-    critic = DenseNet([6, 8, 1], ["relu", "identity"], rng=rng)
-    obs = rng.normal(size=4)
-    q_a = initial_q_feature(critic, actor, obs)
-    q_b = initial_q_feature(critic, actor, obs)
-    assert q_a == q_b
-    action, _ = actor.act(obs, mode="mean")
-    direct = critic.forward(np.concatenate([obs, action]))[0]
-    assert abs(q_a - direct) < 1e-12
+    for dtype in (np.float64, np.float32):
+        rng = np.random.default_rng(14)
+        actor = Actor(4, 2, (8,), rng, dtype=dtype)
+        critic = DenseNet([6, 8, 1], ["relu", "identity"], rng=rng, dtype=dtype)
+        obs = rng.normal(size=4).astype(dtype)
+        q_a = initial_q_feature(critic, actor, obs)
+        q_b = initial_q_feature(critic, actor, obs)
+        assert type(q_a) is float
+        assert q_a == q_b
+        action, _ = actor.act(obs, mode="mean")
+        direct = critic.forward(np.concatenate([obs, action]))[0]
+        assert abs(q_a - direct) < 1e-12
+        # a stack of observations: one value per row, each as the one-row call gives it
+        stack = rng.normal(size=(7, 4)).astype(dtype)
+        stacked = initial_q_feature(critic, actor, stack)
+        assert stacked.shape == (7,)
+        single = np.array([initial_q_feature(critic, actor, row) for row in stack])
+        assert np.max(np.abs(stacked - single)) <= 1e-6

@@ -92,7 +92,7 @@ def test_pool_scores_match_single_row_evaluation():
     trainer = make_trainer(dtype="float32", obstacle_count_max=4)
     worker = Worker(0, trainer.seed, trainer)
     pool = [worker._sample_task() for _ in range(40)]
-    batched = worker._score_pool(pool)
+    _, _, batched = worker._score(pool)
     single = np.array([worker._evaluate_task(task).prediction for task in pool])
     assert batched.shape == (40,)
     assert np.max(np.abs(batched - single)) <= 1e-6
@@ -104,9 +104,9 @@ def test_fresh_worker_scores_with_learner_networks():
     pool = [worker._sample_task() for _ in range(10)]
     obs = world.start_observations([task.config for task in pool], trainer.robot,
                                    trainer.dolly, trainer.dtype)
-    q0 = curriculum.initial_q_features(trainer.learner.critics.q1, trainer.learner.actor, obs)
+    q0 = curriculum.initial_q_feature(trainer.learner.critics.q1, trainer.learner.actor, obs)
     features = np.stack([world.geometric_properties(task, q) for task, q in zip(pool, q0)])
-    assert np.array_equal(worker._score_pool(pool), trainer.fpi.predict(features))
+    assert np.array_equal(worker._score(pool)[2], trainer.fpi.predict(features))
 
 
 def test_worker_holds_no_network_copies():

@@ -18,7 +18,7 @@ from _oracles import sumtree_find_prefix
 
 def make_episode(worker_id=0, steps=3, seq=0):
     return Episode(
-        worker_id=worker_id, task=None, task_type="random",
+        worker_id=worker_id, task_type="random",
         features=np.zeros(5), fpi_prediction=float("nan"),
         observations=np.full((steps + 1, 4), float(seq)),
         actions=np.zeros((steps, 2)), rewards=np.arange(steps, dtype=float),
