@@ -67,16 +67,37 @@ def cmd_histograms(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # what JSON numbers load as; not bool
+
+
+def _need_numbers(record, keys, what: str) -> None:
+    for key in keys:
+        if not isinstance(record, dict) or not _is_number(record.get(key)):
+            raise ValueError(f"{what} has no numeric {key}")
+
+
 def cmd_replay(args) -> int:
-    with open(args.trajectory, encoding="utf-8") as fh:
+    path = args.trajectory
+    with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     if not (lines and isinstance(lines[0], dict) and lines[0].get("type") == "scene"):
-        raise ValueError(f"{args.trajectory}: the first line is not a scene header")
-    for n, record in enumerate(lines[1:], start=1):
-        missing = [key for key in ("x", "y") if not isinstance(record, dict) or key not in record]
-        if missing:
-            raise ValueError(f"{args.trajectory}: record {n} has no {' or '.join(missing)}")
-    svg.write_trajectory(args.out, lines[0], lines[1:])
+        raise ValueError(f"{path}: the first line is not a scene header")
+    scene, records = lines[0], lines[1:]
+    _need_numbers(scene, ("room_width", "room_length"), f"{path}: the scene header")
+    if min(scene["room_width"], scene["room_length"]) <= 0:
+        raise ValueError(f"{path}: the scene's room has no positive size")
+    obstacles = scene.get("obstacles", [])
+    if not (isinstance(obstacles, list) and all(
+            isinstance(box, list) and len(box) == 4 and all(map(_is_number, box)) for box in obstacles)):
+        raise ValueError(f"{path}: the scene's obstacles are not boxes of four numbers")
+    if scene.get("dolly"):
+        _need_numbers(scene["dolly"], ("x", "y", "yaw"), f"{path}: the scene's dolly")
+    for n, record in enumerate(records, start=1):
+        _need_numbers(record, ("x", "y"), f"{path}: record {n}")
+        if not isinstance(record.get("flags", {}), dict):
+            raise ValueError(f"{path}: record {n} has flags that are not an object")
+    svg.write_trajectory(args.out, scene, records)
     print(f"wrote {args.out}")
     return 0
 

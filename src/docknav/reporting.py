@@ -30,14 +30,20 @@ def moving_average(values, window: int = 500) -> np.ndarray:
 
 def _read_columns(path, columns: dict) -> dict[str, np.ndarray]:
     """Each of ``columns`` (name -> converter) of a CSV file as an array;
-    a header without one of them raises ValueError naming it."""
+    a header or a row without one of them raises ValueError naming it."""
+    values = {name: [] for name in columns}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [name for name in columns if name not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: missing column(s) {', '.join(missing)}")
-        rows = list(reader)
-    return {name: np.array([convert(r[name]) for r in rows]) for name, convert in columns.items()}
+        for row in reader:
+            missing = [name for name in columns if row[name] is None]  # a short row
+            if missing:
+                raise ValueError(f"{path}: line {reader.line_num} has no {', '.join(missing)}")
+            for name, convert in columns.items():
+                values[name].append(convert(row[name]))
+    return {name: np.array(column) for name, column in values.items()}
 
 
 def read_telemetry(path) -> dict[str, np.ndarray]:

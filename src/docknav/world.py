@@ -56,9 +56,6 @@ class Pose:
 class RobotSpec:
     length: float = 1.273
     width: float = 0.63
-    # Read by nothing: World.step clamps |v| to 1 m/s, the real top speed.
-    # Kept because checkpoints store every field and rebuild the spec from them.
-    max_speed: float = 1.2
     lidar_beams_per_sensor: int = 128
     lidar_fov: float = math.radians(225.0)
     lidar_max_range: float = 6.0

@@ -121,8 +121,15 @@ SCENE = '{"type": "scene", "room_width": 10, "room_length": 10}\n'
     "not json\n",
     SCENE + '{"t": 0, "x": 1.0, "y": 1.0}\n{"t": 1, "x": 1.5}\n',
     SCENE + "[1.0, 1.0]\n",
+    SCENE + '{"t": 0, "x": "1.0", "y": 1.0}\n',
+    SCENE + '{"t": 0, "x": 1.0, "y": 1.0, "flags": [true]}\n',
+    SCENE.replace("}", ', "dolly": {"x": 5.0, "y": 8.0}}') + '{"t": 0, "x": 1.0, "y": 1.0}\n',
+    SCENE.replace("}", ', "obstacles": [[1, 1, 2]]}'),
+    '{"type": "scene", "room_width": 10}\n',
+    '{"type": "scene", "room_width": 0, "room_length": 0}\n',
 ], ids=["empty", "no_header", "not_object", "not_json", "record_without_y",
-        "record_not_object"])
+        "record_not_object", "record_x_not_number", "record_flags_not_object",
+        "dolly_without_yaw", "obstacle_not_a_box", "room_without_length", "room_of_size_zero"])
 def test_replay_rejects_file_without_scene_header(tmp_path, capsys, text):
     path = tmp_path / "t.jsonl"
     path.write_text(text)
@@ -140,7 +147,8 @@ TELEMETRY_LOG = "episode,worker_id,return,steps,success,task_type\n1,0,-1.0,10,0
     ("0", CURRICULUM_LOG, "--window"),
     ("-5", CURRICULUM_LOG, "--window"),
     ("10", TELEMETRY_LOG, "distance"),
-], ids=["window_zero", "window_negative", "no_curriculum_columns"])
+    ("10", CURRICULUM_LOG + "2,random,2.5\n", "line 3 has no success"),
+], ids=["window_zero", "window_negative", "no_curriculum_columns", "short_row"])
 def test_histograms_rejects_bad_window_and_log(tmp_path, capsys, window, text, message):
     path = tmp_path / "log.csv"
     path.write_text(text)

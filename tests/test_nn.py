@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -285,18 +288,37 @@ def test_checkpoint_prefix_reads_only_matching_arrays(tmp_path):
         read_checkpoint(path, prefix="actor.")
 
 
-def _container(header: dict, payload: bytes) -> bytes:
-    """A hand-built checkpoint file with a valid digest."""
+CHUNK = 4 << 20  # bytes per separately hashed chunk of the version 4 digest
+
+
+def _chunked_digest(body: bytes) -> bytes:
+    """The version 4 digest, computed independently of the reader and writer."""
+    return hashlib.sha256(b"".join(hashlib.sha256(body[i : i + CHUNK]).digest()
+                                   for i in range(0, len(body), CHUNK))).digest()
+
+
+def _body(header: dict, payload: bytes) -> bytes:
     text = json.dumps(header).encode()
-    body = CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + payload
+    return CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + payload
+
+
+def _container(header: dict, payload: bytes) -> bytes:
+    """A hand-built checkpoint file with a valid version 4 digest."""
+    body = _body(header, payload)
+    return body + _chunked_digest(body)
+
+
+def _legacy_container(header: dict, payload: bytes) -> bytes:
+    """A hand-built file of versions 1 to 3, which ended in the plain SHA-256."""
+    body = _body(header, payload)
     return body + hashlib.sha256(body).digest()
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 def test_checkpoint_old_version_rejected(tmp_path, version):
     path = tmp_path / f"v{version}.ckpt"
     header = {"version": version, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]}
-    path.write_bytes(_container(header, np.arange(3, dtype="<f8").tobytes()))
+    path.write_bytes(_legacy_container(header, np.arange(3, dtype="<f8").tobytes()))
     with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         read_checkpoint(path)
 
@@ -307,7 +329,7 @@ def test_checkpoint_non_numeric_dtype_rejected(tmp_path, dtype):
     entry = {"name": "a", "dtype": dtype, "shape": [2]}
     path.write_bytes(_container({"version": CHECKPOINT_VERSION, "meta": {}, "arrays": [entry]},
                                 bytes(2 * np.dtype(dtype).itemsize)))
-    with pytest.raises(CheckpointError, match="dtype"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint dtype"):
         read_checkpoint(path)
 
 
@@ -324,7 +346,7 @@ def test_checkpoint_header_inconsistent_with_payload_rejected_before_allocation(
                                 bytes(8)))
     tracemalloc.start()
     try:
-        with pytest.raises(CheckpointError, match="payload|header"):
+        with pytest.raises(CheckpointError, match="payload bytes|malformed checkpoint header"):
             read_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -394,3 +416,125 @@ def test_checkpoint_rejects_mismatched_destination(tmp_path, destination, proble
     assert not b.any()  # nothing is read before every destination is checked
     with pytest.raises(CheckpointError, match="no array z"):
         read_checkpoint(path, into=lambda meta: {"z": np.zeros(2)})
+
+
+# -- version 4 digest: 4 MiB chunks hashed on a pool of threads -------------------
+
+
+def _roundtrip_and_digest(path, meta, arrays):
+    """Write, check the trailing digest against an independent computation, read
+    back and compare bitwise; the file's bytes."""
+    write_checkpoint(path, meta, arrays)
+    blob = path.read_bytes()
+    assert blob[-32:] == _chunked_digest(blob[:-32])
+    back_meta, back = read_checkpoint(path)
+    assert back_meta == meta and list(back) == list(arrays)
+    for name, arr in arrays.items():
+        assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
+    return blob
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["before", "on", "after"])
+def test_checkpoint_payload_ending_at_a_chunk_boundary(tmp_path, offset):
+    path = tmp_path / "edge.ckpt"
+    write_checkpoint(path, {}, {"a": np.zeros(2 * CHUNK, dtype=np.uint8)})
+    hlen = int.from_bytes(path.read_bytes()[4:8], "little")  # same digit count below
+    data = np.random.default_rng(13).integers(0, 256, 2 * CHUNK - 8 - hlen + offset, np.uint8)
+    blob = _roundtrip_and_digest(path, {}, {"a": data})
+    assert len(blob) - 32 == 2 * CHUNK + offset
+
+
+def test_checkpoint_header_crossing_a_chunk_boundary(tmp_path):
+    meta = {"note": "x" * (CHUNK + 100)}
+    arrays = {"a": np.arange(5.0), "b": np.arange(3, dtype=np.int32)}
+    blob = _roundtrip_and_digest(tmp_path / "long_header.ckpt", meta, arrays)
+    assert int.from_bytes(blob[4:8], "little") > CHUNK
+
+
+def test_checkpoint_empty_payload(tmp_path):
+    _roundtrip_and_digest(tmp_path / "none.ckpt", {"k": 1}, {})
+    _roundtrip_and_digest(tmp_path / "empty.ckpt", {}, {"e": np.zeros((0, 3))})
+
+
+def _three_chunk_file(path) -> bytes:
+    data = np.random.default_rng(14).integers(0, 256, 2 * CHUNK + 1000, np.uint8)
+    write_checkpoint(path, {"k": 1}, {"a": data})
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "version"])
+def test_checkpoint_flip_in_any_chunk_fails_before_parsing(tmp_path, where):
+    path = tmp_path / "flip.ckpt"
+    blob = bytearray(_three_chunk_file(path))
+    assert -(-(len(blob) - 32) // CHUNK) == 3
+    at = {"first": CHUNK // 2, "middle": CHUNK + CHUNK // 2, "last": len(blob) - 33,
+          "version": blob.index(b'"version": 4') + len(b'"version": ')}[where]
+    blob[at] ^= 0x01  # the version flip turns "4" into "5"
+    path.write_bytes(bytes(blob))
+    seen = []
+    with pytest.raises(CheckpointError, match="checksum mismatch"):
+        read_checkpoint(path, into=lambda meta: seen.append(meta) or {})
+    assert seen == []
+
+
+def test_checkpoint_truncated_multi_chunk_file_rejected(tmp_path, monkeypatch):
+    path = tmp_path / "cut.ckpt"
+    blob = _three_chunk_file(path)
+    for size in (len(blob) - 1, len(blob) - 32, CHUNK + 5, 100):
+        path.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            read_checkpoint(path)
+    # a file that shrinks once its size is known: a hashing thread's read
+    # comes up short, and the error is raised in the calling thread
+    path.write_bytes(blob[: CHUNK + 5])
+    real_fstat = os.fstat
+    monkeypatch.setattr("docknav.nn.os.fstat",
+                        lambda fd: os.stat_result((*real_fstat(fd)[:6], len(blob), *real_fstat(fd)[7:])))
+    with pytest.raises(CheckpointError, match="file truncated while reading"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_read_error_in_a_hashing_thread_is_raised_in_the_caller(tmp_path, monkeypatch):
+    path = tmp_path / "eio.ckpt"
+    _three_chunk_file(path)
+    real_preadv = os.preadv
+
+    def failing_in_threads(fd, buffers, offset):
+        if threading.current_thread() is not threading.main_thread():
+            raise OSError("input/output error")
+        return real_preadv(fd, buffers, offset)
+
+    monkeypatch.setattr("docknav.nn.os.preadv", failing_in_threads)
+    with pytest.raises(OSError, match="input/output error"):
+        read_checkpoint(path)
+
+
+def test_checkpoint_bytes_do_not_depend_on_thread_count(tmp_path, monkeypatch):
+    # six chunks; four threads on this host's cores, switched between often,
+    # so a chunk lost or hashed twice would change the digest
+    arrays = {"a": np.random.default_rng(15).normal(size=(5 * CHUNK // 8 + 7,)),
+              "b": np.arange(9, dtype=np.int32)}
+    blobs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            path = tmp_path / f"cpus{cpus}.ckpt"
+            blobs.append(_roundtrip_and_digest(path, {"k": 1}, arrays))
+    finally:
+        sys.setswitchinterval(interval)
+    assert -(-(len(blobs[0]) - 32) // CHUNK) == 6
+    assert blobs[0] == blobs[1]
+
+
+def test_checkpoint_of_one_chunk_starts_no_thread(tmp_path, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or real_start(self))
+    _roundtrip_and_digest(tmp_path / "small.ckpt", {}, {"a": np.arange(CHUNK // 8 - 100.0)})
+    assert started == []
+    _three_chunk_file(tmp_path / "big.ckpt")
+    read_checkpoint(tmp_path / "big.ckpt")
+    assert len(started) == 2 * min(len(os.sched_getaffinity(0)), 3)
