@@ -12,7 +12,6 @@ target copies and checkpoints handle one array per network.
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import json
 import math
@@ -242,9 +241,10 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 # shape), each array's raw little-endian bytes in its own dtype in header
 # order, then a 32-byte digest: the SHA-256 of the concatenated SHA-256
 # digests of consecutive 4 MiB chunks of everything before it (the last
-# chunk may be shorter). The chunks of a larger file are hashed on one thread
-# per usable CPU, and a file of one chunk in the calling thread. On 2 cores a
-# 142 MB file saves in 0.09 s and restores, verified, in 0.14 s, against
+# chunk may be shorter). The chunks of a larger file are hashed on the standard
+# library's thread pool, one thread per usable CPU, each reading through its
+# own buffer; a file of one chunk is hashed in the calling thread. On 2 cores a
+# 142 MB file saves in 0.08 s and restores, verified, in 0.13 s, against
 # 0.16 s and 0.20 s with a single-core pass each way. Arrays are streamed to
 # and from the file: neither side builds the whole payload in memory, and a
 # reader that already holds an array of the right dtype and shape has the
@@ -300,46 +300,29 @@ def _container_digest(n_chunks: int, chunk_digest, meanwhile=lambda: None,
     chunk ``i`` hashed by ``chunk_digest(i, buf)``, where ``buf`` is the hashing
     thread's own buffer of ``buf_size`` bytes.
 
-    More than one chunk is hashed on a pool of one thread per usable CPU while
-    the calling thread runs ``meanwhile()``; one chunk is hashed in the calling
-    thread after it, and no thread is started. The digest is the same for
-    every thread count, and an exception in a hashing thread is raised again
-    in the calling thread."""
+    More than one chunk is hashed on a ``ThreadPoolExecutor`` of one thread per
+    usable CPU while the calling thread runs ``meanwhile()``; one chunk is
+    hashed in the calling thread after it, and no thread is started. The
+    digest is the same for every thread count. An exception in a hashing
+    thread is raised in the calling thread; one in ``meanwhile()`` cancels the
+    chunks not yet started. Either way every hashing thread has ended."""
     if n_chunks == 1:
         meanwhile()
         return hashlib.sha256(chunk_digest(0, memoryview(bytearray(buf_size)))).digest()
-    digests = [b""] * n_chunks
-    todo = collections.deque(range(n_chunks))
-    errors = []
+    # imported here: at module level it raised the peak RSS of a grid
+    # evaluation, which hashes no multi-chunk file, by about 0.6 MB
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        buf = memoryview(bytearray(buf_size))
+    local = threading.local()
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), n_chunks), "checkpoint-hash",
+                            lambda: setattr(local, "buf", memoryview(bytearray(buf_size)))) as pool:
+        digests = pool.map(lambda i: chunk_digest(i, local.buf), range(n_chunks))
         try:
-            while True:
-                try:
-                    i = todo.popleft()
-                except IndexError:  # every chunk is taken
-                    return
-                digests[i] = chunk_digest(i, buf)
-        except BaseException as exc:
-            errors.append(exc)
-            todo.clear()
-
-    threads = [threading.Thread(target=work, name=f"checkpoint-hash-{k}")
-               for k in range(min(len(os.sched_getaffinity(0)), n_chunks))]
-    for thread in threads:
-        thread.start()
-    try:
-        meanwhile()
-    except BaseException:
-        todo.clear()  # the hashing threads stop after their current chunk
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return hashlib.sha256(b"".join(digests)).digest()
+            meanwhile()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return hashlib.sha256(b"".join(digests)).digest()
 
 
 def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -435,7 +435,7 @@ def _trainer_for(meta: dict, config) -> Trainer:
             f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}, "
             f"config replay_capacity is {config.replay_capacity}")
     workers = len(_worker_rngs(meta))
-    if workers and workers != config.workers:
+    if workers != config.workers:
         raise nn.CheckpointError(
             f"worker count mismatch: checkpoint {workers} vs config {config.workers}")
     return Trainer(config, seed=int(meta["seed"]), robot=robot,
@@ -460,9 +460,9 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     meta, arrays = nn.read_checkpoint(path, into=destinations)
     for prefix, state in _optimizers(trainer).items():
         state.step_count = int(meta["adam"][f"{prefix}.steps"])
-    n = int(meta["replay.size"])
-    if n:  # the priorities were read into the tree's leaves: rebuild every node above
-        trainer.replay.tree.set_many(np.arange(n), arrays["replay.priorities"])
+    n, tree = int(meta["replay.size"]), trainer.replay.tree
+    # the priorities were read into the first n leaves: rebuild every node above
+    tree.set_many(np.arange(n), tree.nodes[tree.capacity - 1 :][:n])
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
         labels = arrays["pending_labels"]

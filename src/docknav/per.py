@@ -87,8 +87,8 @@ class SumTree:
         nodes = self.capacity - 1 + indices
         self.nodes[nodes] = priorities
         self.node_max[nodes] = priorities
-        if self.capacity == 1:
-            return  # the only leaf is the root
+        if self.capacity == 1 or not len(nodes):
+            return  # the only leaf is the root, or no leaf changed
         parents = np.unique((nodes - 1) // 2)
         while True:
             left = 2 * parents + 1

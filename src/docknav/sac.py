@@ -66,19 +66,21 @@ class Actor:
         return mu, log_std, gate, rec
 
     def _squash(self, mu, log_std, noise):
+        """(action, log_prob, sigma, 1 - action**2) of the unit ``noise``'s sample."""
         sigma = np.exp(log_std)
         u = mu + sigma * noise
         a = np.tanh(u)
+        one_m_a2 = 1.0 - a**2
         # Gaussian density of u (noise is exactly (u - mu) / sigma) plus the
         # tanh change-of-variables correction.
         logp = (-0.5 * LOG_2PI - log_std - 0.5 * noise**2).sum(axis=1)
-        logp -= np.log(1.0 - a**2 + self.tanh_eps).sum(axis=1)
-        return a, logp
+        logp -= np.log(one_m_a2 + self.tanh_eps).sum(axis=1)
+        return a, logp, sigma, one_m_a2
 
     def sample_with_noise(self, obs, noise):
         """Reparameterized batch sample with caller-supplied unit noise."""
         mu, log_std, _, _ = self.dist_params(obs)
-        return self._squash(mu, log_std, np.asarray(noise))
+        return self._squash(mu, log_std, np.asarray(noise))[:2]
 
     def act(self, obs, rng=None, mode="sample"):
         """One action for one observation; returns (action, log_prob)."""
@@ -90,7 +92,7 @@ class Actor:
         else:
             raise ValueError(f"unknown act mode {mode!r}")
         mu, log_std, _, _ = self.dist_params(obs[None, :])
-        a, logp = self._squash(mu, log_std, noise)
+        a, logp, _, _ = self._squash(mu, log_std, noise)
         return a[0], float(logp[0])
 
     def mean_entropy(self, obs, rng, n_samples=4096):
@@ -165,12 +167,7 @@ def actor_loss_and_grads(actor: Actor, critics: CriticPair, obs, noise, alpha: f
     noise = np.asarray(noise)
     batch = len(obs)
     mu, log_std, gate, tape = actor.dist_params(obs, tape=True)
-    sigma = np.exp(log_std)
-    u = mu + sigma * noise
-    a = np.tanh(u)
-    one_m_a2 = 1.0 - a**2
-    logp = (-0.5 * LOG_2PI - log_std - 0.5 * noise**2).sum(axis=1)
-    logp -= np.log(one_m_a2 + actor.tanh_eps).sum(axis=1)
+    a, logp, sigma, one_m_a2 = actor._squash(mu, log_std, noise)
 
     x = np.concatenate([obs, a.astype(critics.q1.dtype)], axis=1)
     v1, tape1 = critics.q1.forward_tape(x)

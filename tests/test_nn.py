@@ -538,3 +538,47 @@ def test_checkpoint_of_one_chunk_starts_no_thread(tmp_path, monkeypatch):
     _three_chunk_file(tmp_path / "big.ckpt")
     read_checkpoint(tmp_path / "big.ckpt")
     assert len(started) == 2 * min(len(os.sched_getaffinity(0)), 3)
+
+
+def _hashing_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("checkpoint-hash")]
+
+
+def test_checkpoint_failed_multi_chunk_write_stops_its_hashing_threads(tmp_path, monkeypatch):
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self.name) or real_start(self))
+
+    class FullDisk:
+        """A file that takes the first chunk of a long write, then fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) > CHUNK:
+                self.fh.write(data[:CHUNK])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr("docknav.nn.open", lambda path, mode: FullDisk(open(path, mode)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space left on device"):
+        _three_chunk_file(tmp_path / "full.ckpt")
+    assert list(tmp_path.iterdir()) == []
+    assert started and all(name.startswith("checkpoint-hash") for name in started)
+    assert _hashing_threads() == []
+
+
+def test_checkpoint_multi_chunk_round_trip_leaves_no_hashing_thread(tmp_path):
+    _three_chunk_file(tmp_path / "big.ckpt")
+    assert _hashing_threads() == []
+    read_checkpoint(tmp_path / "big.ckpt")
+    assert _hashing_threads() == []

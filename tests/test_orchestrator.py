@@ -308,14 +308,12 @@ def test_restore_then_updates_matches_uninterrupted(tmp_path):
     assert np.array_equal(ref.replay.tree.nodes, resumed.replay.tree.nodes)
 
 
-@pytest.mark.parametrize("workers, interrupt_at, strip_worker_rngs", [
-    pytest.param(1, 3, False, id="1-3"),
-    pytest.param(3, 4, False, id="3-4"),
-    pytest.param(3, None, False, id="3-untrained"),
-    pytest.param(3, None, True, id="3-untrained-no-worker-rngs"),
+@pytest.mark.parametrize("workers, interrupt_at", [
+    pytest.param(1, 3, id="1-3"),
+    pytest.param(3, 4, id="3-4"),
+    pytest.param(3, None, id="3-untrained"),
 ])
-def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at,
-                                               strip_worker_rngs):
+def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
     # uninterrupted: 6 episodes in one go
     full = make_trainer(out_dir=tmp_path / "full", episode_budget=6, batch_size=8,
                         workers=workers)
@@ -329,12 +327,6 @@ def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at,
     first.close_logs()
     path = tmp_path / "resume.ckpt"
     save_checkpoint(first, path)
-    if strip_worker_rngs:
-        # older checkpoints of a trainer that never trained hold no worker
-        # RNG streams: the restored workers start from their seeds
-        meta, arrays = read_checkpoint(path)
-        write_checkpoint(path, {k: v for k, v in meta.items()
-                                if not (k.startswith("worker") and k.endswith("_rng"))}, arrays)
     second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8,
                                                   workers=workers), out_dir=out)
     second.train()
@@ -410,8 +402,13 @@ def test_structural_mismatch_rejected(tmp_path):
     trainer.train()
     path = tmp_path / "s.ckpt"
     save_checkpoint(trainer, path)
-    with pytest.raises(CheckpointError, match="mismatch"):
+    with pytest.raises(CheckpointError, match="actor layout mismatch"):
         restore_checkpoint(path, tiny_config(hidden=(24,)))
+    # every file the trainer writes holds each worker's RNG stream
+    meta, arrays = read_checkpoint(path)
+    write_checkpoint(path, {k: v for k, v in meta.items() if k != "worker0_rng"}, arrays)
+    with pytest.raises(CheckpointError, match="worker count mismatch: checkpoint 0 vs config 1"):
+        restore_checkpoint(path, tiny_config())
 
 
 def rewrite_array(path, name, change):

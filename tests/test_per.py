@@ -97,6 +97,17 @@ def test_set_many_prefix_equals_sequential_sets(capacity, n):
     assert np.array_equal(batched.node_max, one_by_one.node_max)
 
 
+@pytest.mark.parametrize("capacity", [1, 2, 64])
+def test_empty_priority_update_changes_nothing(capacity):
+    buf = PrioritizedReplay(capacity, obs_dim=1)
+    buf.push(np.zeros(1), (0, 0), 0.0, np.zeros(1), False, td_error=3.0)
+    before = buf.tree.nodes.tobytes(), buf.tree.node_max.tobytes()
+    buf.tree.set_many([], [])
+    buf.tree.set_many(np.arange(0), np.zeros(0))
+    buf.update_priorities([], [])
+    assert (buf.tree.nodes.tobytes(), buf.tree.node_max.tobytes()) == before
+
+
 def test_max_leaf_tracks_current_maximum():
     tree = SumTree(8)
     tree.set(0, 5.0)
