@@ -157,9 +157,6 @@ class SuccessPredictor:
         bound = 1.0 / (1.0 + math.exp(_SIGMOID_CLIP))
         return np.clip(p, bound, 1.0 - bound)
 
-    def predict_one(self, features) -> float:
-        return float(self.predict(np.asarray(features)[None, :])[0])
-
     def train_batch(self, features, labels) -> float:
         """One BCE gradient step; returns the batch loss. Updates the running
         standardization statistics with the observed features first."""

@@ -225,6 +225,13 @@ def adam_step(params, grads, state: AdamState):
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * g * g
+        # Moments of a gradient gone to zero decay into the subnormal range,
+        # where arithmetic is many times slower; flush them to zero. Adding
+        # 0.0 turns the -0.0 of a flushed negative moment into +0.0.
+        tiny = np.finfo(m.dtype).tiny
+        m *= np.abs(m) >= tiny
+        m += 0.0
+        v *= v >= tiny
         p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
     return params
 

@@ -1,6 +1,10 @@
 """Proportional prioritized experience replay on a binary sum tree, plus a
 bounded episode queue that training does not use (rollout workers take
 turns in the training loop); it stays while the benchmark's tracer wraps it.
+
+Transitions enter the replay only as whole episodes, through
+``PrioritizedReplay.push_episode``, and every write to the tree's leaves,
+insertions and priority refreshes alike, goes through ``SumTree.set_many``.
 """
 
 from __future__ import annotations
@@ -37,9 +41,9 @@ class SumTree:
     """Fixed-capacity binary tree of prefix sums (plus per-node maxima).
 
     Leaves live at indices [capacity-1, 2*capacity-1) of a flat array; every
-    internal node stores the sum of its children. ``find_prefix_batch``
-    descends from the root for a whole batch of values at once, in O(log n)
-    vectorized steps.
+    internal node stores the sum of its children. ``set_many`` is the one way
+    to write leaves. ``find_prefix_batch`` descends from the root for a whole
+    batch of values at once, in O(log n) vectorized steps.
     """
 
     def __init__(self, capacity: int):
@@ -63,23 +67,12 @@ class SumTree:
     def leaves(self) -> np.ndarray:
         return self.nodes[self.capacity - 1 :].copy()
 
-    def set(self, index: int, priority: float) -> None:
-        if priority < 0:
-            raise ValueError("priority must be non-negative")
-        i = self.capacity - 1 + index
-        self.nodes[i] = priority
-        self.node_max[i] = priority
-        while i:
-            i = (i - 1) // 2
-            left, right = 2 * i + 1, 2 * i + 2
-            self.nodes[i] = self.nodes[left] + self.nodes[right]
-            self.node_max[i] = max(self.node_max[left], self.node_max[right])
-
     def set_many(self, indices, priorities) -> None:
-        """Batched leaf update: write all leaves, then repair each ancestor
-        level once (the sampling hot path updates a whole batch at a time).
-        The parents of a sorted, duplicate-free level are sorted, so above the
-        first level a neighbour comparison drops the duplicates."""
+        """Write leaves, then repair each ancestor level once. Every internal
+        node ends as the sum (and max) of its final children, so one call
+        leaves the same bits as writing the leaves one by one. The parents of
+        a sorted, duplicate-free level are sorted, so above the first level a
+        neighbour comparison drops the duplicates."""
         indices = np.asarray(indices, dtype=np.int64)
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.size and priorities.min() < 0:
@@ -143,10 +136,12 @@ class Episode:
 class PrioritizedReplay:
     """Proportional PER over flat transition arrays.
 
-    New transitions enter at the current maximum leaf priority so each one is
-    sampled at least once; priorities are refreshed to (|td| + floor)^c after
-    the learner sees them. Storage is FIFO once capacity is reached. Single
-    owner (the trainer); not thread safe.
+    Episodes enter whole through ``push_episode``, the one insertion path,
+    at the current maximum leaf priority so each transition is sampled at
+    least once; ``update_priorities`` refreshes them to (|td| + floor)^c after
+    the learner sees them. Both write the tree through ``SumTree.set_many``.
+    Storage is FIFO once capacity is reached. Single owner (the trainer); not
+    thread safe.
     """
 
     def __init__(self, capacity: int, config: PerConfig | None = None, *,
@@ -168,34 +163,23 @@ class PrioritizedReplay:
     def __len__(self) -> int:
         return self.size
 
-    def _stored_priority(self, td_abs: float) -> float:
-        return (abs(td_abs) + self.config.priority_floor) ** self.config.priority_exponent
-
-    def push(self, obs, action, reward, next_obs, terminal, td_error=None, worker_id=0) -> int:
-        """Insert one transition; returns its slot index."""
-        if td_error is None:
-            priority = self.tree.max_leaf if self.size else 1.0
-        else:
-            priority = self._stored_priority(float(td_error))
-        i = self.cursor
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.terminals[i] = terminal
-        self.worker_ids[i] = worker_id
-        self.tree.set(i, priority)
-        self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-        self.inserted_total += 1
-        return i
-
     def push_episode(self, episode: Episode) -> None:
+        """Store an episode's transitions at the next slots of the ring; an
+        episode longer than the ring keeps only its last ``capacity``."""
         steps = episode.steps
-        for t in range(steps):
-            self.push(episode.observations[t], episode.actions[t], episode.rewards[t],
-                      episode.observations[t + 1], bool(episode.terminals[t]),
-                      worker_id=episode.worker_id)
+        first = max(steps - self.capacity, 0)
+        slots = (self.cursor + np.arange(first, steps)) % self.capacity
+        self.obs[slots] = episode.observations[first:steps]
+        self.next_obs[slots] = episode.observations[first + 1 : steps + 1]
+        self.actions[slots] = episode.actions[first:steps]
+        self.rewards[slots] = episode.rewards[first:steps]
+        self.terminals[slots] = episode.terminals[first:steps]
+        self.worker_ids[slots] = episode.worker_id
+        priority = self.tree.max_leaf if self.size else 1.0
+        self.tree.set_many(slots, np.full(len(slots), priority))
+        self.cursor = (self.cursor + steps) % self.capacity
+        self.size = min(self.size + steps, self.capacity)
+        self.inserted_total += steps
 
     def sample(self, batch_size: int, b: float, rng: np.random.Generator):
         """Stratified proportional sample.

@@ -269,7 +269,7 @@ def select_task_reference(worker):
         q0 = float(worker.q1.forward(np.concatenate([obs, action]))[0])
         features = np.array([task.distance, task.agent_clearance, task.goal_clearance,
                              task.relative_angle, q0])
-        return features, worker.fpi.predict_one(features)
+        return features, float(worker.fpi.predict(features[None, :])[0])
 
     config = trainer.navacl_config
     pool = [worker._sample_task() for _ in range(config.candidate_pool)]
@@ -384,3 +384,36 @@ def sumtree_find_prefix(tree, value):
             value -= tree.nodes[left]
             i = left + 1
     return i - (tree.capacity - 1)
+
+
+def sumtree_set_reference(tree, index, priority):
+    """Scalar leaf write that walks to the root, repairing one ancestor per
+    level. ``SumTree.set_many`` must leave the same bits as these writes made
+    one leaf at a time."""
+    i = tree.capacity - 1 + index
+    tree.nodes[i] = priority
+    tree.node_max[i] = priority
+    while i:
+        i = (i - 1) // 2
+        left, right = 2 * i + 1, 2 * i + 2
+        tree.nodes[i] = tree.nodes[left] + tree.nodes[right]
+        tree.node_max[i] = max(tree.node_max[left], tree.node_max[right])
+
+
+def replay_push_reference(replay, episode):
+    """Insert an episode one transition at a time, each at the maximum leaf
+    priority (1.0 into an empty buffer) through a scalar tree write.
+    ``PrioritizedReplay.push_episode`` must leave the same bits."""
+    for t in range(episode.steps):
+        priority = replay.tree.max_leaf if replay.size else 1.0
+        i = replay.cursor
+        replay.obs[i] = episode.observations[t]
+        replay.actions[i] = episode.actions[t]
+        replay.rewards[i] = episode.rewards[t]
+        replay.next_obs[i] = episode.observations[t + 1]
+        replay.terminals[i] = bool(episode.terminals[t])
+        replay.worker_ids[i] = episode.worker_id
+        sumtree_set_reference(replay.tree, i, priority)
+        replay.cursor = (i + 1) % replay.capacity
+        replay.size = min(replay.size + 1, replay.capacity)
+        replay.inserted_total += 1

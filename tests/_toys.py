@@ -5,8 +5,18 @@ checkable without reference to the simulator."""
 import numpy as np
 
 from docknav.config import RunConfig
-from docknav.per import PerConfig, PrioritizedReplay
+from docknav.per import Episode, PerConfig, PrioritizedReplay
 from docknav.sac import SacConfig, SacLearner
+
+
+def one_step_episode(obs, action, reward, next_obs, terminal, worker_id=0) -> Episode:
+    """One transition as an episode, the replay's unit of insertion."""
+    return Episode(
+        worker_id=worker_id, task_type="toy", features=np.zeros(5),
+        fpi_prediction=float("nan"), observations=np.stack([obs, next_obs]),
+        actions=np.asarray(action)[None], rewards=np.array([reward], dtype=np.float64),
+        terminals=np.array([terminal]), success=False, snapshot_version=0,
+    )
 
 
 class DriveToOrigin:
@@ -66,7 +76,7 @@ def train_drive_to_origin(seed: int, env_steps: int = 20000):
     for step in range(env_steps):
         a, _ = learner.actor.act(obs, rng=rng, mode="sample")
         nxt, r, done = env.step(a)
-        buf.push(obs, a, r, nxt, done)
+        buf.push_episode(one_step_episode(obs, a, r, nxt, done))
         obs = env.reset() if done else nxt
         if len(buf) >= 1000 and step % 3 == 0:
             batch, idx, w = buf.sample(cfg.batch_size, 0.4, rng)
@@ -94,7 +104,7 @@ def train_bandit(seed: int, env_steps: int = 8000, alpha_lr: float = 1e-3):
     env = FixedStateBandit()
     for step in range(env_steps):
         a, _ = learner.actor.act(env.obs, rng=rng, mode="sample")
-        buf.push(env.obs, a, env.reward(a), env.obs, True)
+        buf.push_episode(one_step_episode(env.obs, a, env.reward(a), env.obs, True))
         if len(buf) >= 1000 and step % 2 == 0:
             batch, idx, w = buf.sample(cfg.batch_size, 0.4, rng)
             td, _ = learner.update(batch["obs"], batch["actions"], batch["rewards"],

@@ -35,7 +35,7 @@ from _oracles import (
     scene_primitives,
     semantic_ray_geometry,
 )
-from _toys import desk_nav_config, train_bandit, train_drive_to_origin
+from _toys import desk_nav_config, one_step_episode, train_bandit, train_drive_to_origin
 
 TINY_ROBOT = RobotSpec(lidar_beams_per_sensor=8, semantic_rays=4)
 
@@ -179,8 +179,7 @@ def test_criterion_4_sum_tree():
             cap *= 2
         tree = SumTree(cap)
         priorities = rng.uniform(0, 4, size=n)
-        for i, p in enumerate(priorities):
-            tree.set(i, float(p))
+        tree.set_many(np.arange(n), priorities)
         cumsum = np.cumsum(priorities)
         draws = rng.uniform(0, tree.total, size=25)
         got = tree.find_prefix_batch(draws)
@@ -191,8 +190,9 @@ def test_criterion_4_sum_tree():
     # (b) stratified frequencies at 1e6 draws
     buf = PrioritizedReplay(4, PerConfig(priority_exponent=1.0, priority_floor=1e-12),
                             obs_dim=1)
-    for p in (1.0, 2.0, 3.0, 4.0):
-        buf.push(np.zeros(1), (0, 0), 0.0, np.zeros(1), False, td_error=p)
+    for _ in range(4):
+        buf.push_episode(one_step_episode(np.zeros(1), (0, 0), 0.0, np.zeros(1), False))
+    buf.update_priorities(np.arange(4), [1.0, 2.0, 3.0, 4.0])
     n = 1_000_000
     draws = buf.tree.total * (np.arange(n) + rng.uniform(0, 1, n)) / n
     freq = np.bincount(buf.tree.find_prefix_batch(draws), minlength=4) / n
@@ -202,8 +202,9 @@ def test_criterion_4_sum_tree():
     buf2 = PrioritizedReplay(256, obs_dim=1)
     for k in range(10_000):
         if k % 2 == 0:
-            buf2.push(np.zeros(1), (0, 0), 0.0, np.zeros(1), False,
-                      td_error=float(rng.uniform(0, 5)))
+            slot = buf2.cursor
+            buf2.push_episode(one_step_episode(np.zeros(1), (0, 0), 0.0, np.zeros(1), False))
+            buf2.update_priorities([slot], [float(rng.uniform(0, 5))])
         else:
             m = int(rng.integers(1, 8))
             idx = rng.integers(0, min(len(buf2), 256), size=m)

@@ -204,6 +204,26 @@ def test_adam_matches_reference_sequence():
         x = float(params[0][0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_flushes_subnormal_moments(dtype):
+    tiny = np.finfo(dtype).tiny
+    params = [np.array([0.5, -0.5, 0.25, 1.0], dtype=dtype)]
+    state = AdamState(params, lr=1e-3)
+    # with a zero gradient the moments decay by beta1 and beta2: the first
+    # two entries fall below tiny, the last two stay normal
+    state.m[0][:] = [tiny / 2, -tiny / 2, 2 * tiny, 0.5]
+    state.v[0][:] = [tiny / 2, tiny / 2, 2 * tiny, 0.5]
+    decayed_m = state.m[0] * dtype(0.9)
+    decayed_v = state.v[0] * dtype(0.999)
+    assert np.all(decayed_m[:2] != 0) and np.all(np.abs(decayed_m[:2]) < tiny)
+    before = params[0].copy()
+    adam_step(params, [np.zeros(4, dtype=dtype)], state)
+    assert state.m[0].tobytes() == np.r_[0.0, 0.0, decayed_m[2:]].astype(dtype).tobytes()
+    assert state.v[0].tobytes() == np.r_[0.0, 0.0, decayed_v[2:]].astype(dtype).tobytes()
+    assert np.all(np.abs(state.m[0][2:]) >= tiny) and np.all(state.v[0][2:] >= tiny)
+    assert params[0][:2].tobytes() == before[:2].tobytes()
+
+
 # -- checkpoint container ------------------------------------------------------
 
 
