@@ -331,7 +331,7 @@ class Trainer:
 # The checkpointed trainer state is described once, in file order, and both
 # save_checkpoint and restore_checkpoint walk these descriptions.
 
-REPLAY_ARRAYS = ("obs", "next_obs", "actions", "rewards", "terminals", "worker_ids")
+REPLAY_ARRAYS = ("obs", "actions", "rewards", "terminals", "worker_ids", "ends")
 # checkpoint meta key -> attribute path from the trainer
 COUNTERS = {
     "n_updates": "learner.n_updates",
@@ -344,6 +344,7 @@ COUNTERS = {
     "replay.size": "replay.size",
     "replay.cursor": "replay.cursor",
     "replay.inserted_total": "replay.inserted_total",
+    "replay.final_rows": "replay.final_count",
 }
 
 
@@ -362,8 +363,9 @@ def _optimizers(trainer: Trainer) -> dict[str, nn.AdamState]:
 
 def checkpoint_arrays(trainer: Trainer, n: int) -> dict[str, np.ndarray]:
     """The trainer's fixed-layout checkpointed arrays by name, in file order,
-    with the first ``n`` replay rows: the arrays that save_checkpoint writes
-    and restore_checkpoint reads straight back into."""
+    with the first ``n`` replay rows and the replay's side table of final
+    observations: the arrays that save_checkpoint writes and
+    restore_checkpoint reads straight back into."""
     learner, replay = trainer.learner, trainer.replay
     arrays: dict[str, np.ndarray] = {}
     for prefix, net in _networks(trainer).items():
@@ -377,6 +379,7 @@ def checkpoint_arrays(trainer: Trainer, n: int) -> dict[str, np.ndarray]:
     if n:
         for name in REPLAY_ARRAYS:
             arrays[f"replay.{name}"] = getattr(replay, name)[:n]
+        arrays["replay.final_obs"] = replay.final_obs
         first_leaf = replay.tree.capacity - 1
         arrays["replay.priorities"] = replay.tree.nodes[first_leaf : first_leaf + n]
     return arrays
@@ -455,14 +458,12 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     def destinations(meta: dict) -> dict[str, np.ndarray]:
         nonlocal trainer
         trainer = _trainer_for(meta, config)
+        trainer.replay.expect_finals(int(meta["replay.final_rows"]))
         return checkpoint_arrays(trainer, int(meta["replay.size"]))
 
     meta, arrays = nn.read_checkpoint(path, into=destinations)
     for prefix, state in _optimizers(trainer).items():
         state.step_count = int(meta["adam"][f"{prefix}.steps"])
-    n, tree = int(meta["replay.size"]), trainer.replay.tree
-    # the priorities were read into the first n leaves: rebuild every node above
-    tree.set_many(np.arange(n), tree.nodes[tree.capacity - 1 :][:n])
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
         labels = arrays["pending_labels"]
@@ -471,6 +472,10 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         owner, _, name = attr.rpartition(".")
         obj = operator.attrgetter(owner)(trainer) if owner else trainer
         setattr(obj, name, type(getattr(obj, name))(meta[key]))  # the fresh trainer's type
+    try:
+        trainer.replay.rebuild()  # the tree above the leaves read, each end's final row
+    except ValueError as exc:
+        raise nn.CheckpointError(f"{path}: {exc}") from exc
     trainer.master_rng.bit_generator.state = meta["master_rng"]
     for worker, state in zip(trainer._workers, _worker_rngs(meta)):
         worker.rng.bit_generator.state = state

@@ -5,6 +5,9 @@ turns in the training loop); it stays while the benchmark's tracer wraps it.
 Transitions enter the replay only as whole episodes, through
 ``PrioritizedReplay.push_episode``, and every write to the tree's leaves,
 insertions and priority refreshes alike, goes through ``SumTree.set_many``.
+Each observation is stored once: a transition's next observation is the
+observation of the slot after it, or, for the last transition of an episode,
+the episode's final observation from a side table of one row per episode.
 """
 
 from __future__ import annotations
@@ -103,9 +106,9 @@ class SumTree:
         while idx[0] < self.capacity - 1:  # all indices share the same depth
             left = 2 * idx + 1
             left_sum = self.nodes[left]
-            go_left = values <= left_sum
-            values = np.where(go_left, values, values - left_sum)
-            idx = np.where(go_left, left, left + 1)
+            go_right = ~(values <= left_sum)
+            np.subtract(values, left_sum, out=values, where=go_right)
+            idx = left + go_right
         return idx - (self.capacity - 1)
 
 
@@ -134,7 +137,8 @@ class Episode:
 
 
 class PrioritizedReplay:
-    """Proportional PER over flat transition arrays.
+    """Proportional PER over flat transition arrays that hold each
+    observation once.
 
     Episodes enter whole through ``push_episode``, the one insertion path,
     at the current maximum leaf priority so each transition is sampled at
@@ -142,6 +146,15 @@ class PrioritizedReplay:
     the learner sees them. Both write the tree through ``SumTree.set_many``.
     Storage is FIFO once capacity is reached. Single owner (the trainer); not
     thread safe.
+
+    Slot ``i`` stores its transition's observation in ``obs[i]``. Its next
+    observation is ``obs[(i + 1) % capacity]``, unless ``ends[i]`` marks the
+    last transition of an episode: then it is that episode's final
+    observation, kept in a side table of one row per episode held. This is
+    exact because episodes enter whole and FIFO overwrites a slot before its
+    successor. The side table is a ring of rows, oldest episode first, that
+    doubles when full up to ``capacity`` rows; the episodes whose end slots a
+    push overwrites are always its oldest.
     """
 
     def __init__(self, capacity: int, config: PerConfig | None = None, *,
@@ -154,37 +167,109 @@ class PrioritizedReplay:
         self.inserted_total = 0
         self.dtype = np.dtype(dtype)
         self.obs = np.zeros((capacity, obs_dim), dtype=self.dtype)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=self.dtype)
         self.actions = np.zeros((capacity, act_dim), dtype=self.dtype)
         self.rewards = np.zeros(capacity, dtype=np.float64)
         self.terminals = np.zeros(capacity, dtype=bool)
         self.worker_ids = np.zeros(capacity, dtype=np.int32)
+        self.ends = np.zeros(capacity, dtype=bool)
+        self.expect_finals(0)  # an empty side table
 
     def __len__(self) -> int:
         return self.size
+
+    def expect_finals(self, count: int) -> None:
+        """Reset the side table to ``count`` rows, which a checkpoint reader
+        fills oldest first through ``final_obs``; ``rebuild`` then links them
+        to their end slots."""
+        rows = max(count, min(self.capacity, 16))
+        self._finals = np.zeros((rows, self.obs.shape[1]), dtype=self.dtype)
+        self._final_head = 0
+        self.final_count = count  # episodes held, one side-table row each
+        self._final_row = np.zeros(self.capacity, dtype=np.int64)  # an end slot's table row
+
+    @property
+    def final_obs(self) -> np.ndarray:
+        """The final observations of the episodes held, oldest first: a view
+        of the side table, or a copy where its ring wraps."""
+        head, count = self._final_head, self.final_count
+        rows = self._finals[head : head + count]
+        if len(rows) < count:
+            rows = np.concatenate([rows, self._finals[: count - len(rows)]])
+        return rows
+
+    @property
+    def next_obs(self) -> np.ndarray:
+        """Every slot's next observation, gathered into one new
+        ``(capacity, obs_dim)`` array whose rows past ``size`` are zero.
+        Writing to it changes nothing stored."""
+        out = np.empty_like(self.obs)
+        out[:-1] = self.obs[1:]
+        out[-1] = self.obs[0]
+        ends = np.flatnonzero(self.ends)
+        out[ends] = self._finals[self._final_row[ends]]
+        out[self.size :] = 0
+        return out
 
     def push_episode(self, episode: Episode) -> None:
         """Store an episode's transitions at the next slots of the ring; an
         episode longer than the ring keeps only its last ``capacity``."""
         steps = episode.steps
+        if not steps:
+            return
         first = max(steps - self.capacity, 0)
         slots = (self.cursor + np.arange(first, steps)) % self.capacity
         self.obs[slots] = episode.observations[first:steps]
-        self.next_obs[slots] = episode.observations[first + 1 : steps + 1]
         self.actions[slots] = episode.actions[first:steps]
         self.rewards[slots] = episode.rewards[first:steps]
         self.terminals[slots] = episode.terminals[first:steps]
         self.worker_ids[slots] = episode.worker_id
+        self._store_final(slots, episode.observations[steps])
         priority = self.tree.max_leaf if self.size else 1.0
         self.tree.set_many(slots, np.full(len(slots), priority))
         self.cursor = (self.cursor + steps) % self.capacity
         self.size = min(self.size + steps, self.capacity)
         self.inserted_total += steps
 
+    def _store_final(self, slots: np.ndarray, final: np.ndarray) -> None:
+        """Drop the side-table rows of the episodes that ended at ``slots``
+        (the oldest held) and keep ``final`` as the next observation of the
+        last of them."""
+        dropped = int(np.count_nonzero(self.ends[slots]))
+        self.ends[slots] = False
+        rows = len(self._finals)
+        self._final_head = (self._final_head + dropped) % rows
+        self.final_count -= dropped
+        if self.final_count == rows:  # never at ``capacity`` rows: the last slot was just freed
+            grown = np.zeros((min(2 * rows, self.capacity), self.obs.shape[1]), dtype=self.dtype)
+            grown[: self.final_count] = self.final_obs
+            self._final_row = (self._final_row - self._final_head) % rows  # rows oldest first
+            self._finals, self._final_head = grown, 0
+        row = (self._final_head + self.final_count) % len(self._finals)
+        self._finals[row] = final
+        self._final_row[slots[-1]] = row
+        self.ends[slots[-1]] = True
+        self.final_count += 1
+
+    def rebuild(self) -> None:
+        """Derive the tree's inner nodes and each end slot's side-table row
+        after ``size``, ``cursor``, the stored arrays, the first ``size``
+        leaves and the final observations (oldest first) were written from
+        outside, as a checkpoint restore does."""
+        n, tree = self.size, self.tree
+        tree.set_many(np.arange(n), tree.nodes[tree.capacity - 1 :][:n])
+        ends = np.flatnonzero(self.ends)
+        if len(ends) != self.final_count:
+            raise ValueError(f"replay holds {len(ends)} episode ends "
+                             f"but {self.final_count} final observations")
+        older = np.searchsorted(ends, self.cursor)  # the ends at or past the cursor come first
+        self._final_row[np.roll(ends, -older)] = np.arange(len(ends))
+
     def sample(self, batch_size: int, b: float, rng: np.random.Generator):
         """Stratified proportional sample.
 
         Returns (batch dict, leaf indices, normalized importance weights).
+        ``next_obs`` is gathered from the following slots, and from the side
+        table where a slot ends its episode.
         """
         if self.size < batch_size:
             raise ValueError(f"cannot sample {batch_size} from buffer of size {self.size}")
@@ -196,11 +281,14 @@ class PrioritizedReplay:
         probs = leaf / total
         weights = (self.size * probs) ** (-b)
         weights = weights / weights.max()
+        next_obs = self.obs[(idx + 1) % self.capacity]
+        end = self.ends[idx]
+        next_obs[end] = self._finals[self._final_row[idx[end]]]
         batch = {
             "obs": self.obs[idx],
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
-            "next_obs": self.next_obs[idx],
+            "next_obs": next_obs,
             "terminals": self.terminals[idx],
             "worker_ids": self.worker_ids[idx],
         }

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+from docknav.per import SumTree
+
 
 def euler_unicycle(x, y, yaw, v, omega, duration, substeps):
     """Explicit-Euler integration oracle; vectorized over parallel cases."""
@@ -400,10 +402,63 @@ def sumtree_set_reference(tree, index, priority):
         tree.node_max[i] = max(tree.node_max[left], tree.node_max[right])
 
 
+class ReplayReference:
+    """The replay as it was when it stored every observation twice, once in
+    ``obs`` and once in ``next_obs``, with its stratified sample, prefix walk
+    and priority refresh frozen. Fed through :func:`replay_push_reference`,
+    its arrays, tree and samples are what ``PrioritizedReplay`` must match
+    bit for bit."""
+
+    def __init__(self, capacity, obs_dim, act_dim=2, dtype=np.float32,
+                 priority_exponent=0.6, priority_floor=1e-6):
+        self.tree = SumTree(capacity)  # storage only: every write and walk is below
+        self.capacity = capacity
+        self.size = self.cursor = self.inserted_total = 0
+        self.priority_exponent, self.priority_floor = priority_exponent, priority_floor
+        self.obs = np.zeros((capacity, obs_dim), dtype=dtype)
+        self.next_obs = np.zeros((capacity, obs_dim), dtype=dtype)
+        self.actions = np.zeros((capacity, act_dim), dtype=dtype)
+        self.rewards = np.zeros(capacity, dtype=np.float64)
+        self.terminals = np.zeros(capacity, dtype=bool)
+        self.worker_ids = np.zeros(capacity, dtype=np.int32)
+
+    def _find_prefix_batch(self, values):
+        tree = self.tree
+        idx = np.zeros(len(values), dtype=np.int64)
+        values = values.copy()
+        while idx[0] < tree.capacity - 1:
+            left = 2 * idx + 1
+            left_sum = tree.nodes[left]
+            go_left = values <= left_sum
+            values = np.where(go_left, values, values - left_sum)
+            idx = np.where(go_left, left, left + 1)
+        return idx - (tree.capacity - 1)
+
+    def sample(self, batch_size, b, rng):
+        total = self.tree.total
+        edges = total * np.arange(batch_size) / batch_size
+        draws = edges + rng.uniform(0.0, total / batch_size, size=batch_size)
+        idx = self._find_prefix_batch(draws)
+        probs = self.tree.nodes[self.tree.capacity - 1 + idx] / total
+        weights = (self.size * probs) ** (-b)
+        weights = weights / weights.max()
+        batch = {"obs": self.obs[idx], "actions": self.actions[idx],
+                 "rewards": self.rewards[idx], "next_obs": self.next_obs[idx],
+                 "terminals": self.terminals[idx], "worker_ids": self.worker_ids[idx]}
+        return batch, idx, weights
+
+    def update_priorities(self, indices, td_abs):
+        stored = (np.abs(np.asarray(td_abs, dtype=np.float64)) + self.priority_floor
+                  ) ** self.priority_exponent
+        for i, priority in zip(np.asarray(indices).tolist(), stored.tolist()):
+            sumtree_set_reference(self.tree, i, priority)
+
+
 def replay_push_reference(replay, episode):
-    """Insert an episode one transition at a time, each at the maximum leaf
-    priority (1.0 into an empty buffer) through a scalar tree write.
-    ``PrioritizedReplay.push_episode`` must leave the same bits."""
+    """Insert an episode into a :class:`ReplayReference` one transition at a
+    time, each at the maximum leaf priority (1.0 into an empty buffer)
+    through a scalar tree write. ``PrioritizedReplay.push_episode`` must
+    leave the same bits."""
     for t in range(episode.steps):
         priority = replay.tree.max_leaf if replay.size else 1.0
         i = replay.cursor

@@ -5,7 +5,6 @@ Criteria 7 and 8 are hours-scale training experiments and carry the
 ``longrun`` marker (deselected by default; run with ``-m longrun``).
 """
 
-import math
 import time
 
 import numpy as np
@@ -14,7 +13,6 @@ import pytest
 from docknav import reporting
 from docknav.curriculum import (
     NavAclConfig,
-    SuccessPredictor,
     bce_loss,
     get_dynamic_task,
     is_easy,
@@ -22,7 +20,7 @@ from docknav.curriculum import (
 )
 from docknav.grid_eval import GridEvalConfig, run_grid_eval
 from docknav.nn import DenseNet, net_grads_list
-from docknav.orchestrator import Trainer, Worker
+from docknav.orchestrator import Trainer
 from docknav.per import PerConfig, PrioritizedReplay, SumTree
 from docknav.sac import Actor, CriticPair, actor_loss_and_grads, alpha_loss_and_grad, critic_losses
 from docknav.world import EventFlags, RobotSpec, World, compute_reward, sample_task

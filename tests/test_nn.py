@@ -308,11 +308,12 @@ def test_checkpoint_prefix_reads_only_matching_arrays(tmp_path):
         read_checkpoint(path, prefix="actor.")
 
 
-CHUNK = 4 << 20  # bytes per separately hashed chunk of the version 4 digest
+CHUNK = 4 << 20  # bytes per separately hashed chunk of the digest (versions 4 and 5)
 
 
 def _chunked_digest(body: bytes) -> bytes:
-    """The version 4 digest, computed independently of the reader and writer."""
+    """The chunked digest of versions 4 and 5, computed independently of the
+    reader and writer."""
     return hashlib.sha256(b"".join(hashlib.sha256(body[i : i + CHUNK]).digest()
                                    for i in range(0, len(body), CHUNK))).digest()
 
@@ -323,7 +324,7 @@ def _body(header: dict, payload: bytes) -> bytes:
 
 
 def _container(header: dict, payload: bytes) -> bytes:
-    """A hand-built checkpoint file with a valid version 4 digest."""
+    """A hand-built checkpoint file with a valid chunked digest."""
     body = _body(header, payload)
     return body + _chunked_digest(body)
 
@@ -334,11 +335,13 @@ def _legacy_container(header: dict, payload: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 def test_checkpoint_old_version_rejected(tmp_path, version):
+    # version 4 had today's digest; its replay stored every observation twice
     path = tmp_path / f"v{version}.ckpt"
     header = {"version": version, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]}
-    path.write_bytes(_legacy_container(header, np.arange(3, dtype="<f8").tobytes()))
+    container = _container if version == 4 else _legacy_container
+    path.write_bytes(container(header, np.arange(3, dtype="<f8").tobytes()))
     with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         read_checkpoint(path)
 
@@ -488,8 +491,9 @@ def test_checkpoint_flip_in_any_chunk_fails_before_parsing(tmp_path, where):
     blob = bytearray(_three_chunk_file(path))
     assert -(-(len(blob) - 32) // CHUNK) == 3
     at = {"first": CHUNK // 2, "middle": CHUNK + CHUNK // 2, "last": len(blob) - 33,
-          "version": blob.index(b'"version": 4') + len(b'"version": ')}[where]
-    blob[at] ^= 0x01  # the version flip turns "4" into "5"
+          "version": blob.index(f'"version": {CHECKPOINT_VERSION}'.encode())
+          + len(b'"version": ')}[where]
+    blob[at] ^= 0x01  # the version flip turns it into another digit
     path.write_bytes(bytes(blob))
     seen = []
     with pytest.raises(CheckpointError, match="checksum mismatch"):

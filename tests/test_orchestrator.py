@@ -1,7 +1,12 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +22,8 @@ from docknav.orchestrator import (
     restore_checkpoint,
     save_checkpoint,
 )
-from docknav.world import DollySpec, RobotSpec
+from docknav.per import Episode
+from docknav.world import RobotSpec
 
 from _oracles import select_task_reference
 
@@ -308,34 +314,81 @@ def test_restore_then_updates_matches_uninterrupted(tmp_path):
     assert np.array_equal(ref.replay.tree.nodes, resumed.replay.tree.nodes)
 
 
-@pytest.mark.parametrize("workers, interrupt_at", [
-    pytest.param(1, 3, id="1-3"),
-    pytest.param(3, 4, id="3-4"),
-    pytest.param(3, None, id="3-untrained"),
+@pytest.mark.parametrize("workers, interrupt_at, capacity", [
+    pytest.param(1, 3, 1024, id="1-3"),
+    pytest.param(3, 4, 1024, id="3-4"),
+    pytest.param(3, None, 1024, id="3-untrained"),
+    pytest.param(1, 3, 16, id="1-3-wrapped"),
 ])
-def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at):
+def test_resume_training_matches_uninterrupted(tmp_path, workers, interrupt_at, capacity):
+    config = dict(episode_budget=6, batch_size=8, workers=workers, replay_capacity=capacity)
     # uninterrupted: 6 episodes in one go
-    full = make_trainer(out_dir=tmp_path / "full", episode_budget=6, batch_size=8,
-                        workers=workers)
+    full = make_trainer(out_dir=tmp_path / "full", **config)
     full.train()
     # interrupted: checkpoint mid-run (with 3 workers, mid-turn) or before any
     # train() call, restore into the same run directory, finish
     out = tmp_path / "resumed"
-    first = make_trainer(out_dir=out, episode_budget=6, batch_size=8, workers=workers)
+    first = make_trainer(out_dir=out, **config)
     if interrupt_at is not None:
         first.train(max_new_episodes=interrupt_at)
     first.close_logs()
+    if capacity == 16:
+        assert first.replay.inserted_total > capacity  # the ring wrapped before the checkpoint
     path = tmp_path / "resume.ckpt"
     save_checkpoint(first, path)
-    second = restore_checkpoint(path, tiny_config(episode_budget=6, batch_size=8,
-                                                  workers=workers), out_dir=out)
+    second = restore_checkpoint(path, tiny_config(**config), out_dir=out)
     second.train()
     assert second.episodes_received == 6
     assert actor_bytes(full) == actor_bytes(second)
     n = len(full.replay)
     assert second.replay.worker_ids[:n].tolist() == full.replay.worker_ids[:n].tolist()
+    assert second.replay.next_obs.tobytes() == full.replay.next_obs.tobytes()
     for name in ("telemetry.csv", "curriculum.csv"):
         assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+
+
+def push_random_episodes(replay, rng, lengths):
+    for k, steps in enumerate(lengths):
+        replay.push_episode(Episode(
+            worker_id=k % 3, task_type="random", features=np.zeros(5),
+            fpi_prediction=float("nan"), observations=rng.normal(size=(steps + 1, replay.obs.shape[1])),
+            actions=rng.uniform(-1, 1, size=(steps, 2)), rewards=rng.normal(size=steps),
+            terminals=rng.random(steps) < 0.2, success=False, snapshot_version=0))
+
+
+def test_checkpoint_keeps_side_table_that_straddles_the_wrap(tmp_path):
+    # the last episode held crosses the end of the slot ring, and the side
+    # table's own ring of final observations wraps too
+    config = tiny_config(replay_capacity=64, batch_size=8)
+    trainer = Trainer(config, seed=1, robot=TINY_ROBOT)
+    replay, rng = trainer.replay, np.random.default_rng(3)
+    push_random_episodes(replay, rng, [5] * 10)
+    for _ in range(200):
+        push_random_episodes(replay, rng, [6])
+        if 0 < replay.cursor < 6 and replay._final_head + replay.final_count > len(replay._finals):
+            break
+    assert 0 < replay.cursor < 6 and replay._final_head + replay.final_count > len(replay._finals)
+    path = tmp_path / "wrapped.ckpt"
+    save_checkpoint(trainer, path)
+    restored = restore_checkpoint(path, config)
+    n = len(replay)
+    source, back = checkpoint_arrays(trainer, n), checkpoint_arrays(restored, n)
+    assert list(back) == list(source) and len(back["replay.final_obs"]) == replay.final_count > 0
+    for name, arr in source.items():
+        assert back[name].tobytes() == arr.tobytes(), name
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(restored, again)
+    assert again.read_bytes() == path.read_bytes()
+    # both go on alike, before and after pushes that drop the oldest episodes
+    for more in ([], [3, 1, 7, 2], [30, 40]):
+        for t in (trainer, restored):
+            push_random_episodes(t.replay, np.random.default_rng(len(more)), more)
+        assert restored.replay.next_obs.tobytes() == replay.next_obs.tobytes()
+        got = restored.replay.sample(32, 0.5, np.random.default_rng(4))
+        want = replay.sample(32, 0.5, np.random.default_rng(4))
+        for key in want[0]:
+            assert got[0][key].tobytes() == want[0][key].tobytes(), key
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
 
 
 def test_second_train_call_appends_to_logs(tmp_path):
@@ -461,6 +514,22 @@ def test_restore_rejects_mismatched_replay_array(tmp_path, name, change):
         restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8))
 
 
+def test_restore_rejects_episode_ends_without_their_final_observations(tmp_path):
+    trainer = make_trainer(episode_budget=3, batch_size=8)
+    trainer.train()
+    path = tmp_path / "ends.ckpt"
+    save_checkpoint(trainer, path)
+
+    def drop_oldest_end(ends):
+        ends = ends.copy()
+        ends[np.argmax(ends)] = False
+        return ends
+
+    rewrite_array(path, "replay.ends", drop_oldest_end)
+    with pytest.raises(CheckpointError, match="2 episode ends but 3 final observations"):
+        restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8))
+
+
 def test_actor_from_checkpoint_matches(tmp_path):
     trainer = make_trainer(episode_budget=2, batch_size=8)
     trainer.train()
@@ -488,12 +557,11 @@ def test_restore_into_smaller_replay_rejected(tmp_path):
 
 def filled_trainer(capacity=1 << 12):
     """A trainer with the full-size robot whose replay holds ``capacity``
-    random transitions."""
+    random transitions and no episode end, so an empty side table."""
     trainer = Trainer(tiny_config(replay_capacity=capacity), seed=1, robot=RobotSpec())
     replay = trainer.replay
     rng = np.random.default_rng(5)
     rng.random(out=replay.obs)
-    rng.random(out=replay.next_obs)
     replay.actions[:] = rng.uniform(-1.0, 1.0, size=replay.actions.shape)
     replay.rewards[:] = rng.uniform(-10.0, 10.0, size=capacity)
     replay.terminals[:] = rng.random(capacity) < 0.01
@@ -514,7 +582,7 @@ def traced_peak(fn, *args, **kwargs):
 
 def test_save_checkpoint_streams_replay(tmp_path):
     trainer = filled_trainer()
-    replay_bytes = trainer.replay.obs.nbytes + trainer.replay.next_obs.nbytes
+    replay_bytes = trainer.replay.obs.nbytes
     path = tmp_path / "full.ckpt"
     _, peak = traced_peak(save_checkpoint, trainer, path)
     assert peak < 0.1 * replay_bytes
@@ -524,7 +592,7 @@ def test_save_checkpoint_streams_replay(tmp_path):
 
 def test_actor_from_checkpoint_skips_replay(tmp_path):
     trainer = filled_trainer()
-    replay_bytes = trainer.replay.obs.nbytes + trainer.replay.next_obs.nbytes
+    replay_bytes = trainer.replay.obs.nbytes
     path = tmp_path / "full.ckpt"
     save_checkpoint(trainer, path)
     actor, peak = traced_peak(actor_from_checkpoint, path, dtype=np.float64)
@@ -539,10 +607,10 @@ def test_restore_reads_arrays_in_place(tmp_path):
     save_checkpoint(trainer, path)
     restored, peak = traced_peak(restore_checkpoint, path, tiny_config(replay_capacity=1 << 12))
     replay, tree = restored.replay, restored.replay.tree
-    replay_bytes = sum(a.nbytes for a in (replay.obs, replay.next_obs, replay.actions,
-                                          replay.rewards, replay.terminals, replay.worker_ids,
-                                          tree.nodes, tree.node_max))
-    assert peak <= 1.1 * replay_bytes  # one replay: a copy on the way would make it 2x
+    assert replay.final_count == 0
+    held = [a for a in vars(replay).values() if isinstance(a, np.ndarray)]
+    replay_bytes = sum(a.nbytes for a in (*held, tree.nodes, tree.node_max))
+    assert peak <= 1.1 * replay_bytes  # one replay: a copy of obs on the way would make it 2x
     n = len(trainer.replay)
     source, back = checkpoint_arrays(trainer, n), checkpoint_arrays(restored, n)
     assert list(back) == list(source)
@@ -550,3 +618,69 @@ def test_restore_reads_arrays_in_place(tmp_path):
         assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
     assert tree.nodes.tobytes() == trainer.replay.tree.nodes.tobytes()
     assert tree.node_max.tobytes() == trainer.replay.tree.node_max.tobytes()
+
+
+# One phase of a round trip of a full 2^20 desk replay, run in its own process
+# so its peak RSS is its own. It prints the process's figures as JSON.
+FULL_REPLAY_PHASE = """
+import json, resource, sys, time
+import numpy as np
+from docknav.orchestrator import Trainer, restore_checkpoint, save_checkpoint
+from docknav.per import Episode
+from _toys import desk_nav_config
+
+phase, path = sys.argv[1], sys.argv[2]
+config = desk_nav_config(seeds=(1,), workers=1, replay_capacity=2**20, step_limit=100)
+start = time.perf_counter()
+if phase == "save":
+    trainer = Trainer(config, seed=1)
+    replay, rng = trainer.replay, np.random.default_rng(0)
+    while replay.inserted_total < replay.capacity + 5000:  # full, and wrapped
+        steps = int(rng.integers(20, 500))
+        replay.push_episode(Episode(
+            worker_id=0, task_type="random", features=np.zeros(5), fpi_prediction=float("nan"),
+            observations=rng.random((steps + 1, replay.obs.shape[1]), dtype=np.float32),
+            actions=rng.uniform(-1, 1, (steps, 2)), rewards=rng.normal(size=steps),
+            terminals=np.arange(steps) == steps - 1, success=False, snapshot_version=0))
+    start = time.perf_counter()
+    save_checkpoint(trainer, path)
+else:
+    trainer = restore_checkpoint(path, config)
+    restored = time.perf_counter()
+    trainer.train(max_new_episodes=3)
+replay = trainer.replay
+print(json.dumps({
+    "seconds": (restored if phase == "restore" else time.perf_counter()) - start,
+    "live_bytes": sum(a.nbytes for a in (*vars(replay).values(), *vars(replay.tree).values())
+                      if isinstance(a, np.ndarray)),
+    "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+    "size": len(replay), "episodes_held": replay.final_count,
+    "episodes_received": trainer.episodes_received,
+}))
+"""
+
+
+@pytest.mark.longrun
+def test_full_2_20_replay_saves_restores_and_resumes(tmp_path):
+    # a replay at the README's largest capacity fits here: each phase's peak
+    # RSS stays within the replay it holds plus 10%
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    path = tmp_path / "full.ckpt"
+    try:
+        runs = {}
+        for phase in ("save", "restore"):  # one process at a time
+            done = subprocess.run([sys.executable, "-c", FULL_REPLAY_PHASE, phase, str(path)],
+                                  env=env, capture_output=True, text=True, timeout=1200)
+            assert done.returncode == 0, done.stderr
+            runs[phase] = json.loads(done.stdout.splitlines()[-1])
+            if phase == "save":
+                runs[phase]["file_bytes"] = path.stat().st_size
+        print(json.dumps(runs))
+    finally:
+        path.unlink(missing_ok=True)
+    for run in runs.values():
+        assert run["size"] == 2**20 and run["episodes_held"] > 0
+        assert run["peak_rss_bytes"] <= 1.1 * run["live_bytes"]
+    assert runs["restore"]["episodes_received"] == 3
+    assert runs["save"]["file_bytes"] < 1.01 * runs["save"]["live_bytes"]

@@ -13,7 +13,12 @@ from docknav.per import (
     anneal_b,
 )
 
-from _oracles import replay_push_reference, sumtree_find_prefix, sumtree_set_reference
+from _oracles import (
+    ReplayReference,
+    replay_push_reference,
+    sumtree_find_prefix,
+    sumtree_set_reference,
+)
 
 
 def make_episode(worker_id=0, steps=3, seq=0, obs_dim=4):
@@ -229,6 +234,8 @@ def random_episode(rng, steps, worker_id):
 
 
 def replay_state(buf):
+    """Every array the replay holds per slot, each slot's next observation,
+    the tree and the counters, as bytes and ints."""
     arrays = (buf.obs, buf.next_obs, buf.actions, buf.rewards, buf.terminals, buf.worker_ids,
               buf.tree.nodes, buf.tree.node_max)
     return [a.tobytes() for a in arrays] + [buf.size, buf.cursor, buf.inserted_total]
@@ -236,28 +243,69 @@ def replay_state(buf):
 
 @pytest.mark.parametrize("capacity", [1, 2, 64, 1024])
 def test_push_episode_matches_frozen_push_loop(capacity):
-    # whole-episode writes against one push per step, over episodes that
-    # wrap the ring, fill it exactly or run longer than it
+    # the one-observation replay against the frozen two-array one, fed one
+    # push per step, over episodes that wrap the ring, fill it exactly, run
+    # longer than it or cross its end, and runs of short ones
     rng = np.random.default_rng(capacity)
     steps = [1, capacity, capacity + 1, 3 * capacity]
     steps += rng.integers(1, 3 * capacity + 1, size=8).tolist()
-    buf, ref = PrioritizedReplay(capacity, obs_dim=3), PrioritizedReplay(capacity, obs_dim=3)
+    steps += rng.integers(1, 6, size=40).tolist() + [capacity + 1, 2]
+    buf, ref = PrioritizedReplay(capacity, obs_dim=3), ReplayReference(capacity, obs_dim=3)
     for k, n in enumerate(steps):
         episode = random_episode(rng, n, worker_id=k % 4)
         buf.push_episode(episode)
         replay_push_reference(ref, episode)
         assert replay_state(buf) == replay_state(ref)
+        assert buf.final_count == np.count_nonzero(buf.ends) <= min(k + 1, capacity)
         seed = int(rng.integers(2**32))
-        got = buf.sample(min(len(buf), 8), 0.5, np.random.default_rng(seed))
-        want = ref.sample(min(len(ref), 8), 0.5, np.random.default_rng(seed))
+        batch = min(len(buf), 64)
+        got = buf.sample(batch, 0.5, np.random.default_rng(seed))
+        want = ref.sample(batch, 0.5, np.random.default_rng(seed))
+        assert sorted(got[0]) == sorted(want[0]) == sorted(
+            ["obs", "actions", "rewards", "next_obs", "terminals", "worker_ids"])
         for key in want[0]:
-            assert got[0][key].tobytes() == want[0][key].tobytes()
+            assert got[0][key].dtype == want[0][key].dtype, key
+            assert got[0][key].tobytes() == want[0][key].tobytes(), key
         assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
         td = rng.exponential(2.0, size=len(want[1]))
         buf.update_priorities(got[1], td)
         ref.update_priorities(want[1], td)
+        assert buf.tree.nodes.tobytes() == ref.tree.nodes.tobytes()
+        assert buf.tree.node_max.tobytes() == ref.tree.node_max.tobytes()
     assert replay_state(buf) == replay_state(ref)
     assert buf.inserted_total == sum(steps)
+    assert buf.inserted_total > 5 * capacity  # the ring wrapped several times
+
+
+def test_next_obs_is_a_fresh_gathered_array():
+    buf = PrioritizedReplay(8, obs_dim=3)
+    buf.push_episode(random_episode(np.random.default_rng(0), 5, worker_id=0))
+    gathered = buf.next_obs
+    assert gathered.shape == buf.obs.shape and not np.shares_memory(gathered, buf.obs)
+    gathered[:] = 7.0  # a write lands in the copy only
+    assert buf.next_obs.tobytes() != gathered.tobytes()
+    assert not buf.next_obs[5:].any()  # past size, as in an unwritten array
+
+
+def test_zero_step_episode_stores_nothing():
+    buf = PrioritizedReplay(8, obs_dim=3)
+    rng = np.random.default_rng(2)
+    buf.push_episode(random_episode(rng, 5, worker_id=0))
+    before = replay_state(buf) + [buf.final_obs.tobytes()]
+    buf.push_episode(random_episode(rng, 0, worker_id=1))
+    assert replay_state(buf) + [buf.final_obs.tobytes()] == before
+
+
+def test_side_table_grows_with_episodes_held():
+    buf = PrioritizedReplay(1 << 10, obs_dim=3)
+    rng = np.random.default_rng(1)
+    for _ in range(20):
+        buf.push_episode(random_episode(rng, 50, worker_id=0))
+    assert buf.final_count == 20 and len(buf.final_obs) == 20
+    assert len(buf._finals) <= 32  # doubled from 16 rows, not sized by capacity
+    for _ in range(buf.capacity + 1):  # one-step episodes: every slot ends one
+        buf.push_episode(random_episode(rng, 1, worker_id=0))
+    assert buf.final_count == buf.capacity == len(buf._finals)
 
 
 # -- b annealing -------------------------------------------------------------------
