@@ -433,9 +433,14 @@ def _trainer_for(meta: dict, config) -> Trainer:
         raise nn.CheckpointError(
             f"dtype mismatch: checkpoint {meta['dtype']} vs config {config.dtype}")
     n, cursor = int(meta["replay.size"]), int(meta["replay.cursor"])
-    if n > config.replay_capacity or cursor >= config.replay_capacity:
+    # A slot's next observation is the next slot's, so once the ring has
+    # wrapped (and n is its capacity) only a ring of that capacity reads it
+    wrapped = int(meta["replay.inserted_total"]) > n
+    if (n > config.replay_capacity or cursor >= config.replay_capacity
+            or wrapped and n != config.replay_capacity):
         raise nn.CheckpointError(
-            f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}, "
+            f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}"
+            f"{' of a wrapped ring' if wrapped else ''}, "
             f"config replay_capacity is {config.replay_capacity}")
     workers = len(_worker_rngs(meta))
     if workers != config.workers:

@@ -75,7 +75,8 @@ class SumTree:
         node ends as the sum (and max) of its final children, so one call
         leaves the same bits as writing the leaves one by one. The parents of
         a sorted, duplicate-free level are sorted, so above the first level a
-        neighbour comparison drops the duplicates."""
+        neighbour comparison drops the duplicates; a level of one node, as
+        every level of a one-leaf write is, has none to drop."""
         indices = np.asarray(indices, dtype=np.int64)
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.size and priorities.min() < 0:
@@ -85,7 +86,9 @@ class SumTree:
         self.node_max[nodes] = priorities
         if self.capacity == 1 or not len(nodes):
             return  # the only leaf is the root, or no leaf changed
-        parents = np.unique((nodes - 1) // 2)
+        parents = (nodes - 1) // 2
+        if len(parents) > 1:
+            parents = np.unique(parents)
         while True:
             left = 2 * parents + 1
             right = left + 1
@@ -94,10 +97,11 @@ class SumTree:
             if parents[0] == 0:
                 break
             parents = (parents - 1) // 2
-            keep = np.empty(len(parents), dtype=bool)
-            keep[0] = True
-            np.not_equal(parents[1:], parents[:-1], out=keep[1:])
-            parents = parents[keep]
+            if len(parents) > 1:
+                keep = np.empty(len(parents), dtype=bool)
+                keep[0] = True
+                np.not_equal(parents[1:], parents[:-1], out=keep[1:])
+                parents = parents[keep]
 
     def find_prefix_batch(self, values: np.ndarray) -> np.ndarray:
         """For each value, the smallest leaf index whose cumulative sum reaches it."""
@@ -235,10 +239,11 @@ class PrioritizedReplay:
         (the oldest held) and keep ``final`` as the next observation of the
         last of them."""
         dropped = int(np.count_nonzero(self.ends[slots]))
-        self.ends[slots] = False
         rows = len(self._finals)
-        self._final_head = (self._final_head + dropped) % rows
-        self.final_count -= dropped
+        if dropped:
+            self.ends[slots] = False
+            self._final_head = (self._final_head + dropped) % rows
+            self.final_count -= dropped
         if self.final_count == rows:  # never at ``capacity`` rows: the last slot was just freed
             grown = np.zeros((min(2 * rows, self.capacity), self.obs.shape[1]), dtype=self.dtype)
             grown[: self.final_count] = self.final_obs

@@ -555,6 +555,24 @@ def test_restore_into_smaller_replay_rejected(tmp_path):
                                              replay_capacity=small))
 
 
+def test_restore_of_wrapped_ring_into_larger_replay_rejected(tmp_path):
+    # the episode that crosses the end of the ring takes slot 63's next
+    # observation from slot 0, where a larger ring would read slot 64
+    config = tiny_config(replay_capacity=64, batch_size=8)
+    trainer = Trainer(config, seed=1, robot=TINY_ROBOT)
+    replay = trainer.replay
+    push_random_episodes(replay, np.random.default_rng(3), [5] * 14)
+    assert replay.inserted_total == 70 and replay.cursor == 6
+    assert replay.ends[0] and not replay.ends[63]
+    path = tmp_path / "wrapped.ckpt"
+    save_checkpoint(trainer, path)
+    with pytest.raises(CheckpointError, match="holds 64 transitions at cursor 6 of a wrapped "
+                                              "ring, config replay_capacity is 128"):
+        restore_checkpoint(path, tiny_config(replay_capacity=128, batch_size=8))
+    same = restore_checkpoint(path, config)
+    assert same.replay.next_obs.tobytes() == replay.next_obs.tobytes()
+
+
 def filled_trainer(capacity=1 << 12):
     """A trainer with the full-size robot whose replay holds ``capacity``
     random transitions and no episode end, so an empty side table."""
