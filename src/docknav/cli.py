@@ -35,7 +35,6 @@ def cmd_train(args) -> int:
         print(f"training variant={cfg.variant} seed={seed} -> {seed_dir}")
         trainer = orchestrator.Trainer(cfg, seed=seed, out_dir=seed_dir)
         trainer.train()
-        trainer.flush_fpi_results()
         orchestrator.save_checkpoint(trainer, seed_dir / "final.ckpt")
         reporting.write_training_curves(seed_dir / "telemetry.csv", seed_dir / "curves.csv")
         print(f"  episodes={trainer.episodes_received} updates={trainer.learner.n_updates}")

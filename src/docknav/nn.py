@@ -62,12 +62,12 @@ def _backprop_activation(kind: str, g: np.ndarray, z: np.ndarray, out: np.ndarra
 
 @dataclass
 class Tape:
-    """Per-layer inputs, pre-activations, and outputs of one forward pass."""
+    """Per-layer inputs, pre-activations, and outputs of one forward pass
+    over a 2-D batch."""
 
     inputs: list
     pre: list
     outputs: list
-    squeezed: bool
 
 
 @dataclass
@@ -86,8 +86,9 @@ class Gradients:
 
 class DenseNet:
     """Fully-connected network; weights are (n_in, n_out) so batched inputs
-    multiply as ``x @ W + b``. Evaluation never mutates parameters. ``flat``
-    holds every parameter, laid out ``W0, b0, W1, b1, ...``, and
+    multiply as ``x @ W + b``. Inputs are 2-D batches ``(rows, in_dim)``; one
+    observation is a batch of one row. Evaluation never mutates parameters.
+    ``flat`` holds every parameter, laid out ``W0, b0, W1, b1, ...``, and
     ``weights[l]`` and ``biases[l]`` are views into it."""
 
     def __init__(self, layer_sizes, activations, rng=None, dtype=np.float64):
@@ -124,25 +125,22 @@ class DenseNet:
     def in_dim(self) -> int:
         return self.layer_sizes[0]
 
-    def _check_input(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
+    def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=self.dtype)
-        squeezed = x.ndim == 1
-        if squeezed:
-            x = x[None, :]
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected input of width {self.in_dim}, got shape {x.shape}")
         if not np.isfinite(x).all():
             raise ValueError("non-finite network input")
-        return x, squeezed
+        return x
 
     def forward(self, x) -> np.ndarray:
-        x, squeezed = self._check_input(x)
+        x = self._check_input(x)
         for W, b, act in zip(self.weights, self.biases, self.activations):
             x = _apply_activation(act, x @ W + b)
-        return x[0] if squeezed else x
+        return x
 
     def forward_tape(self, x) -> tuple[np.ndarray, Tape]:
-        x, squeezed = self._check_input(x)
+        x = self._check_input(x)
         inputs, pres, outs = [], [], []
         for W, b, act in zip(self.weights, self.biases, self.activations):
             inputs.append(x)
@@ -150,7 +148,7 @@ class DenseNet:
             x = _apply_activation(act, z)
             pres.append(z)
             outs.append(x)
-        return (x[0] if squeezed else x), Tape(inputs, pres, outs, squeezed)
+        return x, Tape(inputs, pres, outs)
 
     def backward(self, tape: Tape, out_adjoint, skip_last_activation: bool = False,
                  params: bool = True, wrt_input: bool = True) -> Gradients:
@@ -163,8 +161,6 @@ class DenseNet:
         ``None``. The gradients that are computed are the same bits either way.
         """
         g = np.asarray(out_adjoint, dtype=self.dtype)
-        if tape.squeezed and g.ndim == 1:
-            g = g[None, :]
         d_flat = np.empty_like(self.flat) if params else None
         d_weights, d_biases = self._views(d_flat) if params else (None, None)
         last = len(self.weights) - 1
@@ -176,8 +172,7 @@ class DenseNet:
                 g.sum(axis=0, out=d_biases[l])
             if l or wrt_input:  # at layer 0 this product is the input gradient
                 g = g @ self.weights[l].T
-        d_input = (g[0] if tape.squeezed else g) if wrt_input else None
-        return Gradients(d_flat, d_weights, d_biases, d_input)
+        return Gradients(d_flat, d_weights, d_biases, g if wrt_input else None)
 
     # -- parameter plumbing -------------------------------------------
 

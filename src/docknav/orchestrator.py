@@ -220,8 +220,13 @@ class Trainer:
         self.pending_updates += self.config.updates_per_episode
         if self.variant == "navacl_q":
             self.result_set.append((episode.features, 1.0 if episode.success else 0.0))
-            if len(self.result_set) >= self.navacl_config.batch_size:
-                self._train_fpi(self.navacl_config.batch_size)
+            count = self.navacl_config.batch_size
+            if len(self.result_set) >= count:  # one predictor step on the oldest results
+                batch = self.result_set[:count]
+                del self.result_set[:count]
+                self.fpi.train_batch(np.stack([f for f, _ in batch]),
+                                     np.array([y for _, y in batch]))
+                self.fpi_train_calls += 1
         if self._telemetry:
             self._telemetry.writerow([
                 self.episodes_received, episode.worker_id,
@@ -235,18 +240,6 @@ class Trainer:
                 f"{f[0]:.6f}", f"{f[1]:.6f}", f"{f[2]:.6f}", f"{f[3]:.6f}", f"{f[4]:.6f}",
                 pred, int(episode.success),
             ])
-
-    def _train_fpi(self, count: int) -> None:
-        """One success-predictor step on the oldest ``count`` results."""
-        batch = self.result_set[:count]
-        del self.result_set[:count]
-        self.fpi.train_batch(np.stack([f for f, _ in batch]), np.array([y for _, y in batch]))
-        self.fpi_train_calls += 1
-
-    def flush_fpi_results(self) -> None:
-        """Train on a final partial batch (shutdown path)."""
-        if self.result_set:
-            self._train_fpi(len(self.result_set))
 
     # -- updates -----------------------------------------------------------
 
@@ -432,15 +425,19 @@ def _trainer_for(meta: dict, config) -> Trainer:
     if meta["dtype"] != np.dtype(config.dtype).name:
         raise nn.CheckpointError(
             f"dtype mismatch: checkpoint {meta['dtype']} vs config {config.dtype}")
+    if meta["variant"] != config.variant:
+        raise nn.CheckpointError(
+            f"variant mismatch: checkpoint {meta['variant']} vs config {config.variant}")
     n, cursor = int(meta["replay.size"]), int(meta["replay.cursor"])
-    # A slot's next observation is the next slot's, so once the ring has
-    # wrapped (and n is its capacity) only a ring of that capacity reads it
-    wrapped = int(meta["replay.inserted_total"]) > n
+    # Until a ring fills, its cursor equals its size. Once it has filled, a
+    # slot's next observation is the next slot's and the next push overwrites
+    # slot ``cursor``, so only a ring of its own size reads it.
+    filled = cursor != n
     if (n > config.replay_capacity or cursor >= config.replay_capacity
-            or wrapped and n != config.replay_capacity):
+            or filled and n != config.replay_capacity):
         raise nn.CheckpointError(
             f"replay mismatch: checkpoint holds {n} transitions at cursor {cursor}"
-            f"{' of a wrapped ring' if wrapped else ''}, "
+            f"{' of a filled ring' if filled else ''}, "
             f"config replay_capacity is {config.replay_capacity}")
     workers = len(_worker_rngs(meta))
     if workers != config.workers:

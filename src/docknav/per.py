@@ -41,12 +41,14 @@ def anneal_b(progress: float, config: PerConfig) -> float:
 
 
 class SumTree:
-    """Fixed-capacity binary tree of prefix sums (plus per-node maxima).
+    """Fixed-capacity binary tree of prefix sums.
 
     Leaves live at indices [capacity-1, 2*capacity-1) of a flat array; every
     internal node stores the sum of its children. ``set_many`` is the one way
     to write leaves. ``find_prefix_batch`` descends from the root for a whole
-    batch of values at once, in O(log n) vectorized steps.
+    batch of values at once, in O(log n) vectorized steps. ``max_leaf`` scans
+    the leaves; the replay reads it once per episode, far less often than it
+    writes priorities, so no tree of maxima is kept up to date.
     """
 
     def __init__(self, capacity: int):
@@ -54,7 +56,6 @@ class SumTree:
             raise ValueError("capacity must be a positive power of two")
         self.capacity = capacity
         self.nodes = np.zeros(2 * capacity - 1)
-        self.node_max = np.zeros(2 * capacity - 1)
 
     @property
     def total(self) -> float:
@@ -62,7 +63,7 @@ class SumTree:
 
     @property
     def max_leaf(self) -> float:
-        return float(self.node_max[0])
+        return float(self.nodes[self.capacity - 1 :].max())
 
     def leaf(self, index: int) -> float:
         return float(self.nodes[self.capacity - 1 + index])
@@ -72,18 +73,17 @@ class SumTree:
 
     def set_many(self, indices, priorities) -> None:
         """Write leaves, then repair each ancestor level once. Every internal
-        node ends as the sum (and max) of its final children, so one call
-        leaves the same bits as writing the leaves one by one. The parents of
-        a sorted, duplicate-free level are sorted, so above the first level a
-        neighbour comparison drops the duplicates; a level of one node, as
-        every level of a one-leaf write is, has none to drop."""
+        node ends as the sum of its final children, so one call leaves the
+        same bits as writing the leaves one by one. The parents of a sorted,
+        duplicate-free level are sorted, so above the first level a neighbour
+        comparison drops the duplicates; a level of one node, as every level
+        of a one-leaf write is, has none to drop."""
         indices = np.asarray(indices, dtype=np.int64)
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.size and priorities.min() < 0:
             raise ValueError("priority must be non-negative")
         nodes = self.capacity - 1 + indices
         self.nodes[nodes] = priorities
-        self.node_max[nodes] = priorities
         if self.capacity == 1 or not len(nodes):
             return  # the only leaf is the root, or no leaf changed
         parents = (nodes - 1) // 2
@@ -93,7 +93,6 @@ class SumTree:
             left = 2 * parents + 1
             right = left + 1
             self.nodes[parents] = self.nodes[left] + self.nodes[right]
-            self.node_max[parents] = np.maximum(self.node_max[left], self.node_max[right])
             if parents[0] == 0:
                 break
             parents = (parents - 1) // 2

@@ -56,7 +56,6 @@ class Actor:
             out, rec = self.net.forward_tape(obs)
         else:
             out, rec = self.net.forward(obs), None
-        out = np.atleast_2d(out)
         mu = out[:, : self.act_dim]
         raw = out[:, self.act_dim :]
         log_std = np.clip(raw, self.log_std_min, self.log_std_max)
@@ -94,13 +93,6 @@ class Actor:
         mu, log_std, _, _ = self.dist_params(obs[None, :])
         a, logp, _, _ = self._squash(mu, log_std, noise)
         return a[0], float(logp[0])
-
-    def mean_entropy(self, obs, rng, n_samples=4096):
-        """Monte-Carlo estimate of the policy entropy E[-log pi] at one state."""
-        tiled = np.repeat(np.asarray(obs)[None, :], n_samples, axis=0)
-        noise = rng.standard_normal((n_samples, self.act_dim))
-        _, logp = self.sample_with_noise(tiled, noise)
-        return float(-logp.mean())
 
 
 class CriticPair:

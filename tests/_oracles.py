@@ -268,7 +268,7 @@ def select_task_reference(worker):
                         trainer.dtype)
         obs = w.observation()
         action, _ = worker.actor.act(obs, mode="mean")
-        q0 = float(worker.q1.forward(np.concatenate([obs, action]))[0])
+        q0 = float(worker.q1.forward(np.concatenate([obs, action])[None, :])[0, 0])
         features = np.array([task.distance, task.agent_clearance, task.goal_clearance,
                              task.relative_angle, q0])
         return features, float(worker.fpi.predict(features[None, :])[0])
@@ -394,12 +394,15 @@ def sumtree_set_reference(tree, index, priority):
     one leaf at a time."""
     i = tree.capacity - 1 + index
     tree.nodes[i] = priority
-    tree.node_max[i] = priority
     while i:
         i = (i - 1) // 2
         left, right = 2 * i + 1, 2 * i + 2
         tree.nodes[i] = tree.nodes[left] + tree.nodes[right]
-        tree.node_max[i] = max(tree.node_max[left], tree.node_max[right])
+
+
+def max_leaf_reference(tree):
+    """The largest leaf priority, by Python's ``max`` over the leaves."""
+    return max(tree.nodes[tree.capacity - 1 :].tolist())
 
 
 class ReplayReference:
@@ -460,7 +463,7 @@ def replay_push_reference(replay, episode):
     through a scalar tree write. ``PrioritizedReplay.push_episode`` must
     leave the same bits."""
     for t in range(episode.steps):
-        priority = replay.tree.max_leaf if replay.size else 1.0
+        priority = max_leaf_reference(replay.tree) if replay.size else 1.0
         i = replay.cursor
         replay.obs[i] = episode.observations[t]
         replay.actions[i] = episode.actions[t]

@@ -292,7 +292,10 @@ def test_criterion_6_sac_toy_convergence():
         action_errors.append(float(np.max(np.abs(mean_a - np.array([0.3, -0.4])))))
 
     learner = train_bandit(100, env_steps=20000, alpha_lr=3e-3)
-    entropy = learner.actor.mean_entropy(np.zeros(1), np.random.default_rng(9), 20000)
+    # Monte-Carlo policy entropy E[-log pi] at the bandit's one state
+    noise = np.random.default_rng(9).standard_normal((20000, learner.actor.act_dim))
+    _, logp = learner.actor.sample_with_noise(np.zeros((20000, 1)), noise)
+    entropy = float(-logp.mean())
     wall = time.monotonic() - start
 
     ok = (drive_passes >= 4 and entropy == pytest.approx(-2.0, abs=0.1)

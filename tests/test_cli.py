@@ -5,6 +5,7 @@ import pytest
 
 import docknav
 from docknav import cli
+from docknav.nn import read_checkpoint
 from docknav.world import Pose, World, WorldConfig
 
 
@@ -46,6 +47,15 @@ def test_train_then_eval_grid_and_histograms(tiny_ini, tmp_path, capsys):
     for name in ("telemetry.csv", "curriculum.csv", "curves.csv", "final.ckpt"):
         assert (seed_dir / name).exists()
     assert (out / "effective_config.ini").exists()
+    # 3 episodes against result batches of 4: like a periodic checkpoint,
+    # final.ckpt keeps the 3 pending predictor results, untrained
+    meta, pending = read_checkpoint(seed_dir / "final.ckpt", prefix="pending_")
+    rows = [row.split(",") for row in (seed_dir / "curriculum.csv").read_text().splitlines()[1:]]
+    assert meta["fpi_train_calls"] == 0 and len(rows) == 3
+    assert pending["pending_features"].shape == (3, 5)
+    assert np.allclose(pending["pending_features"], [[float(v) for v in row[2:7]] for row in rows],
+                       rtol=0, atol=1e-6)
+    assert pending["pending_labels"].tolist() == [float(row[8]) for row in rows]
 
     grid_out = tmp_path / "grid"
     rc = cli.main(["eval-grid", "--config", str(tiny_ini),

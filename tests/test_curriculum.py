@@ -296,7 +296,7 @@ def test_initial_q_deterministic_and_matches_forward():
         assert type(q_a) is float
         assert q_a == q_b
         action, _ = actor.act(obs, mode="mean")
-        direct = critic.forward(np.concatenate([obs, action]))[0]
+        direct = critic.forward(np.concatenate([obs, action])[None, :])[0, 0]
         assert abs(q_a - direct) < 1e-12
         # a stack of observations: one value per row, each as the one-row call gives it
         stack = rng.normal(size=(7, 4)).astype(dtype)

@@ -34,7 +34,7 @@ def identity_net(n):
 
 def test_identity_layer_passthrough():
     net = identity_net(3)
-    x = np.array([0.5, -1.0, 2.0])
+    x = np.array([[0.5, -1.0, 2.0]])
     assert np.array_equal(net.forward(x), x)
 
 
@@ -42,15 +42,15 @@ def test_relu_layer():
     net = DenseNet([2, 2], ["relu"])
     net.weights[0][...] = np.eye(2)
     net.biases[0][...] = 0.0
-    assert np.array_equal(net.forward(np.array([-1.0, 2.0])), [0.0, 2.0])
+    assert np.array_equal(net.forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
 
 
 def test_forward_matches_independent_evaluator():
     rng = np.random.default_rng(0)
     net = DenseNet([4, 7, 5, 3], ["relu", "tanh", "identity"], rng=rng)
     for _ in range(20):
-        x = rng.normal(size=4)
-        assert np.max(np.abs(net.forward(x) - forward_oracle(net, x))) < 1e-12
+        x = rng.normal(size=(1, 4))
+        assert np.max(np.abs(net.forward(x)[0] - forward_oracle(net, x[0]))) < 1e-12
 
 
 def test_forward_batch_matches_single():
@@ -59,35 +59,41 @@ def test_forward_batch_matches_single():
     xs = rng.normal(size=(5, 3))
     batch = net.forward(xs)
     for i in range(5):
-        assert np.allclose(batch[i], net.forward(xs[i]), atol=1e-14)
+        assert np.allclose(batch[i], net.forward(xs[i : i + 1])[0], atol=1e-14)
 
 
 def test_dimension_mismatch_raises():
     net = DenseNet([3, 2], ["identity"])
-    with pytest.raises(ValueError):
-        net.forward(np.zeros(4))
-    with pytest.raises(ValueError):
-        net.forward(np.array([1.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="width 3"):
+        net.forward(np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="non-finite"):
+        net.forward(np.array([[1.0, np.nan, 0.0]]))
+    # inputs are 2-D batches only: one observation is a batch of one row
+    for x in (np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ValueError, match="width 3"):
+            net.forward(x)
+        with pytest.raises(ValueError, match="width 3"):
+            net.forward_tape(x)
 
 
 def test_linear_net_squared_loss_closed_form():
     rng = np.random.default_rng(2)
     net = DenseNet([3, 2], ["identity"], rng=rng)
-    x = rng.normal(size=3)
-    y = rng.normal(size=2)
+    x = rng.normal(size=(1, 3))
+    y = rng.normal(size=(1, 2))
     out, tape = net.forward_tape(x)
     # loss = sum((Wx + b - y)^2), adjoint = 2 * residual
     residual = out - y
     grads = net.backward(tape, 2.0 * residual)
-    assert np.allclose(grads.weights[0], np.outer(x, 2.0 * residual), atol=1e-14)
-    assert np.allclose(grads.biases[0], 2.0 * residual, atol=1e-14)
+    assert np.allclose(grads.weights[0], np.outer(x[0], 2.0 * residual[0]), atol=1e-14)
+    assert np.allclose(grads.biases[0], 2.0 * residual[0], atol=1e-14)
 
 
 def test_zero_adjoint_gives_zero_grads():
     rng = np.random.default_rng(3)
     net = DenseNet([3, 4, 2], ["tanh", "identity"], rng=rng)
-    out, tape = net.forward_tape(rng.normal(size=3))
-    grads = net.backward(tape, np.zeros(2))
+    out, tape = net.forward_tape(rng.normal(size=(1, 3)))
+    grads = net.backward(tape, np.zeros((1, 2)))
     for g in net_grads_list(grads):
         assert np.all(g == 0.0)
     assert np.all(grads.wrt_input == 0.0)
@@ -115,7 +121,7 @@ def test_gradients_match_finite_differences():
 def test_backward_switches_skip_only_their_fields(dtype, skip_last):
     rng = np.random.default_rng(10)
     net = DenseNet([6, 32, 16, 2], ["relu", "tanh", "sigmoid"], rng=rng, dtype=dtype)
-    for x in (rng.normal(size=(9, 6)), rng.normal(size=6)):  # batch and squeezed
+    for x in (rng.normal(size=(9, 6)), rng.normal(size=(1, 6))):  # a batch and one row
         out, tape = net.forward_tape(x)
         adjoint = rng.normal(size=out.shape)
         full = net.backward(tape, adjoint, skip_last_activation=skip_last)
@@ -133,16 +139,16 @@ def test_backward_switches_skip_only_their_fields(dtype, skip_last):
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(5)
     net = DenseNet([3, 5, 1], ["relu", "identity"], rng=rng)
-    x = rng.normal(size=3)
+    x = rng.normal(size=(1, 3))
     out, tape = net.forward_tape(x)
-    grads = net.backward(tape, np.ones(1))
+    grads = net.backward(tape, np.ones((1, 1)))
     h = 1e-6
     for i in range(3):
         xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        num = (net.forward(xp)[0] - net.forward(xm)[0]) / (2 * h)
-        assert abs(grads.wrt_input[i] - num) < 1e-6
+        xp[0, i] += h
+        xm[0, i] -= h
+        num = (net.forward(xp)[0, 0] - net.forward(xm)[0, 0]) / (2 * h)
+        assert abs(grads.wrt_input[0, i] - num) < 1e-6
 
 
 # -- adam --------------------------------------------------------------------

@@ -208,9 +208,6 @@ def test_fpi_batch_flush():
     trainer.train()
     assert trainer.fpi_train_calls == 2  # 9 results: two full batches of 4
     assert len(trainer.result_set) == 1
-    trainer.flush_fpi_results()
-    assert trainer.fpi_train_calls == 3
-    assert not trainer.result_set
 
 
 def test_random_starts_variant_bypasses_curriculum(tmp_path):
@@ -286,7 +283,7 @@ def test_layer_views_stay_bound_to_their_own_flat(tmp_path):
 
 
 def test_checkpoint_restores_whole_sum_tree(tmp_path):
-    # a partly filled replay: restore rebuilds every internal sum and max
+    # a partly filled replay: restore rebuilds every internal sum
     trainer = make_trainer(episode_budget=3, batch_size=8)
     trainer.train()
     tree = trainer.replay.tree
@@ -295,7 +292,7 @@ def test_checkpoint_restores_whole_sum_tree(tmp_path):
     save_checkpoint(trainer, path)
     restored = restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8)).replay.tree
     assert restored.nodes.tobytes() == tree.nodes.tobytes()
-    assert restored.node_max.tobytes() == tree.node_max.tobytes()
+    assert restored.max_leaf == tree.max_leaf
 
 
 def test_restore_then_updates_matches_uninterrupted(tmp_path):
@@ -457,6 +454,9 @@ def test_structural_mismatch_rejected(tmp_path):
     save_checkpoint(trainer, path)
     with pytest.raises(CheckpointError, match="actor layout mismatch"):
         restore_checkpoint(path, tiny_config(hidden=(24,)))
+    with pytest.raises(CheckpointError,
+                       match="variant mismatch: checkpoint navacl_q vs config random_starts"):
+        restore_checkpoint(path, tiny_config(variant="random_starts"))
     # every file the trainer writes holds each worker's RNG stream
     meta, arrays = read_checkpoint(path)
     write_checkpoint(path, {k: v for k, v in meta.items() if k != "worker0_rng"}, arrays)
@@ -477,8 +477,8 @@ def narrow_rewards(path):
 
 @pytest.mark.parametrize("mismatch", [dict(hidden=(24,)), dict(dtype="float32"),
                                       dict(workers=2), dict(replay_capacity=1, batch_size=1),
-                                      narrow_rewards],
-                         ids=["hidden", "dtype", "workers", "replay", "array"])
+                                      dict(variant="random_starts"), narrow_rewards],
+                         ids=["hidden", "dtype", "workers", "replay", "variant", "array"])
 def test_rejected_restore_leaves_run_logs_untouched(tmp_path, mismatch):
     out = tmp_path / "run"
     trainer = make_trainer(out_dir=out, episode_budget=3, batch_size=8)
@@ -566,11 +566,35 @@ def test_restore_of_wrapped_ring_into_larger_replay_rejected(tmp_path):
     assert replay.ends[0] and not replay.ends[63]
     path = tmp_path / "wrapped.ckpt"
     save_checkpoint(trainer, path)
-    with pytest.raises(CheckpointError, match="holds 64 transitions at cursor 6 of a wrapped "
+    with pytest.raises(CheckpointError, match="holds 64 transitions at cursor 6 of a filled "
                                               "ring, config replay_capacity is 128"):
         restore_checkpoint(path, tiny_config(replay_capacity=128, batch_size=8))
     same = restore_checkpoint(path, config)
     assert same.replay.next_obs.tobytes() == replay.next_obs.tobytes()
+
+
+def test_restore_of_filled_ring_into_larger_replay_rejected(tmp_path):
+    # a ring filled exactly has not wrapped, but its next push overwrites
+    # slot 0: in a larger ring the slots past 64 would stay empty while
+    # ``size`` counted them, and the IS weights would use that size
+    config = tiny_config(replay_capacity=64, batch_size=8)
+    trainer = Trainer(config, seed=1, robot=TINY_ROBOT)
+    replay, rng = trainer.replay, np.random.default_rng(3)
+    push_random_episodes(replay, rng, [5] * 12)
+    part = tmp_path / "part.ckpt"
+    save_checkpoint(trainer, part)  # 60 of 64 slots: restores into any ring that holds them
+    grown = restore_checkpoint(part, tiny_config(replay_capacity=128, batch_size=8)).replay
+    assert (grown.size, grown.cursor) == (60, 60)
+    push_random_episodes(replay, rng, [4])
+    assert replay.inserted_total == replay.size == 64 and replay.cursor == 0
+    path = tmp_path / "filled.ckpt"
+    save_checkpoint(trainer, path)
+    with pytest.raises(CheckpointError, match="holds 64 transitions at cursor 0 of a filled "
+                                              "ring, config replay_capacity is 128"):
+        restore_checkpoint(path, tiny_config(replay_capacity=128, batch_size=8))
+    same = restore_checkpoint(path, config).replay
+    push_random_episodes(same, rng, [5])
+    assert (same.size, same.cursor, np.count_nonzero(same.tree.leaves())) == (64, 5, 64)
 
 
 def filled_trainer(capacity=1 << 12):
@@ -627,7 +651,7 @@ def test_restore_reads_arrays_in_place(tmp_path):
     replay, tree = restored.replay, restored.replay.tree
     assert replay.final_count == 0
     held = [a for a in vars(replay).values() if isinstance(a, np.ndarray)]
-    replay_bytes = sum(a.nbytes for a in (*held, tree.nodes, tree.node_max))
+    replay_bytes = sum(a.nbytes for a in (*held, tree.nodes))
     assert peak <= 1.1 * replay_bytes  # one replay: a copy of obs on the way would make it 2x
     n = len(trainer.replay)
     source, back = checkpoint_arrays(trainer, n), checkpoint_arrays(restored, n)
@@ -635,7 +659,7 @@ def test_restore_reads_arrays_in_place(tmp_path):
     for name, arr in source.items():
         assert back[name].dtype == arr.dtype and back[name].tobytes() == arr.tobytes(), name
     assert tree.nodes.tobytes() == trainer.replay.tree.nodes.tobytes()
-    assert tree.node_max.tobytes() == trainer.replay.tree.node_max.tobytes()
+    assert tree.max_leaf == trainer.replay.tree.max_leaf
 
 
 # One phase of a round trip of a full 2^20 desk replay, run in its own process

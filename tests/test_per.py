@@ -15,6 +15,7 @@ from docknav.per import (
 
 from _oracles import (
     ReplayReference,
+    max_leaf_reference,
     replay_push_reference,
     sumtree_find_prefix,
     sumtree_set_reference,
@@ -107,18 +108,18 @@ def test_set_many_prefix_equals_sequential_sets(capacity, n):
         sumtree_set_reference(one_by_one, i, float(p))
     batched.set_many(np.arange(n), priorities)
     assert np.array_equal(batched.nodes, one_by_one.nodes)
-    assert np.array_equal(batched.node_max, one_by_one.node_max)
+    assert batched.max_leaf == max_leaf_reference(one_by_one)
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 64])
 def test_empty_priority_update_changes_nothing(capacity):
     buf = PrioritizedReplay(capacity, obs_dim=1)
     push_with_td_errors(buf, [3.0])
-    before = buf.tree.nodes.tobytes(), buf.tree.node_max.tobytes()
+    before = buf.tree.nodes.tobytes(), buf.tree.max_leaf
     buf.tree.set_many([], [])
     buf.tree.set_many(np.arange(0), np.zeros(0))
     buf.update_priorities([], [])
-    assert (buf.tree.nodes.tobytes(), buf.tree.node_max.tobytes()) == before
+    assert (buf.tree.nodes.tobytes(), buf.tree.max_leaf) == before
 
 
 def test_max_leaf_tracks_current_maximum():
@@ -127,6 +128,15 @@ def test_max_leaf_tracks_current_maximum():
     assert tree.max_leaf == 7.0
     tree.set_many([1], [0.5])  # lowering the max is reflected exactly
     assert tree.max_leaf == 5.0
+    tree.set_many([6], [3.0])
+    assert tree.max_leaf == 5.0
+    tree.set_many([0], [0.25])  # the maximum leaf lowered below a leaf in the other half
+    assert tree.max_leaf == 3.0
+    # a tree restored from its leaves, as a checkpoint restore writes them
+    restored = SumTree(8)
+    restored.nodes[7:] = tree.leaves()
+    restored.set_many(np.arange(8), restored.nodes[7:])
+    assert restored.max_leaf == 3.0 and restored.nodes.tobytes() == tree.nodes.tobytes()
 
 
 # -- replay buffer ---------------------------------------------------------------
@@ -237,7 +247,7 @@ def replay_state(buf):
     """Every array the replay holds per slot, each slot's next observation,
     the tree and the counters, as bytes and ints."""
     arrays = (buf.obs, buf.next_obs, buf.actions, buf.rewards, buf.terminals, buf.worker_ids,
-              buf.tree.nodes, buf.tree.node_max)
+              buf.tree.nodes)
     return [a.tobytes() for a in arrays] + [buf.size, buf.cursor, buf.inserted_total]
 
 
@@ -256,6 +266,7 @@ def test_push_episode_matches_frozen_push_loop(capacity):
         buf.push_episode(episode)
         replay_push_reference(ref, episode)
         assert replay_state(buf) == replay_state(ref)
+        assert buf.tree.max_leaf == max_leaf_reference(ref.tree)
         assert buf.final_count == np.count_nonzero(buf.ends) <= min(k + 1, capacity)
         seed = int(rng.integers(2**32))
         batch = min(len(buf), 64)
@@ -271,7 +282,7 @@ def test_push_episode_matches_frozen_push_loop(capacity):
         buf.update_priorities(got[1], td)
         ref.update_priorities(want[1], td)
         assert buf.tree.nodes.tobytes() == ref.tree.nodes.tobytes()
-        assert buf.tree.node_max.tobytes() == ref.tree.node_max.tobytes()
+        assert buf.tree.max_leaf == max_leaf_reference(ref.tree)
     assert replay_state(buf) == replay_state(ref)
     assert buf.inserted_total == sum(steps)
     assert buf.inserted_total > 5 * capacity  # the ring wrapped several times
