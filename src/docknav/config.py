@@ -10,8 +10,10 @@ parses to an identical object.
 ``RunConfig``'s fields are the only declaration of the keys. To add a key, add
 one field to its section's block in ``RunConfig``; its annotation (``int``,
 ``float``, ``str``, ``tuple[int, ...]`` or ``tuple[float, ...]``) chooses the
-parser and the type every value must have. A domain config receives every
-field of the same name through its ``to_*`` builder.
+parser and the type every value must have. The learner, the replay and the
+curriculum read their fields straight from a ``RunConfig``; only the task
+bounds and the grid evaluation get a config of their own, from a ``to_*``
+builder.
 """
 
 from __future__ import annotations
@@ -20,10 +22,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .curriculum import NavAclConfig
 from .grid_eval import GridEvalConfig
-from .per import PerConfig
-from .sac import SacConfig
 from .world import TaskBounds
 
 
@@ -67,25 +66,25 @@ class RunConfig:
     alpha_lr: float = 2e-4
     initial_alpha: float = 0.2
     target_entropy: float = -2.0  # -action_dim
-    target_update_interval: int = 1000
+    target_update_interval: int = 1000  # hard copy (tau = 1) every this many updates
     batch_size: int = 256
     hidden: tuple[int, ...] = (256, 256)
     log_std_min: float = -20.0
     log_std_max: float = 2.0
     tanh_eps: float = 1e-6
     # [per]
-    priority_exponent: float = 0.6
-    is_exponent_start: float = 0.4
-    is_exponent_end: float = 0.6
-    priority_floor: float = 1e-6
+    priority_exponent: float = 0.6  # c
+    is_exponent_start: float = 0.4  # b0
+    is_exponent_end: float = 0.6  # b1
+    priority_floor: float = 1e-6  # keeps zero-TD-error samples reachable
     # [curriculum]
-    easy_band: float = 1.0
-    frontier_band: float = 0.1
-    easy_threshold: float = 0.95
-    max_trials: int = 100
-    result_batch_size: int = 16
+    easy_band: float = 1.0  # beta: f > mu + beta * sigma is easy
+    frontier_band: float = 0.1  # gamma_f: |f - mu| < gamma_f * sigma is frontier
+    easy_threshold: float = 0.95  # chi: alternative easy test late in training
+    max_trials: int = 100  # n_T candidate draws before falling back to random
+    result_batch_size: int = 16  # m: task results per success-predictor step
     fpi_lr: float = 4e-4
-    candidate_pool: int = 100
+    candidate_pool: int = 100  # tasks per FitNormal refresh
     p_easy: float = 1.0 / 3.0
     p_frontier: float = 1.0 / 3.0
     p_random: float = 1.0 / 3.0
@@ -113,23 +112,12 @@ class RunConfig:
             start_anchor_y=self.start_anchor_y,
         )
 
-    def _build(self, cls, **renames):
-        """``cls`` with every field copied from the ``RunConfig`` field of the
-        same name; ``renames`` maps a ``cls`` field to a differently named one."""
-        return cls(**{f.name: getattr(self, renames.get(f.name, f.name)) for f in fields(cls)})
-
-    def to_sac_config(self) -> SacConfig:
-        return self._build(SacConfig)
-
-    def to_per_config(self) -> PerConfig:
-        return self._build(PerConfig)
-
-    def to_navacl_config(self) -> NavAclConfig:
-        # batch_size is also a [sac] key; the curriculum's comes from its own section
-        return self._build(NavAclConfig, batch_size="result_batch_size", learning_rate="fpi_lr")
-
     def to_grid_eval_config(self) -> GridEvalConfig:
-        return self._build(GridEvalConfig, room_side="eval_room_side")
+        return GridEvalConfig(
+            grid_extent=self.grid_extent, grid_cell=self.grid_cell,
+            orientations_deg=self.orientations_deg, repeats=self.repeats,
+            grid_offset=self.grid_offset, room_side=self.eval_room_side,
+        )
 
 
 def _parse_tuple(element):

@@ -6,36 +6,14 @@ and the dynamic task generator with its late-stage corner cases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .nn import AdamState, DenseNet, adam_step, net_grads_list
 
 N_FEATURES = 5  # distance, agent clearance, goal clearance, relative angle, initial Q
 _SIGMOID_CLIP = 30.0  # keeps predictions strictly inside (0, 1) in float64
-
-
-@dataclass(frozen=True)
-class NavAclConfig:
-    easy_band: float = 1.0  # beta: f > mu + beta * sigma is easy
-    frontier_band: float = 0.1  # gamma_f: |f - mu| < gamma_f * sigma is frontier
-    easy_threshold: float = 0.95  # chi: alternative easy test late in training
-    max_trials: int = 100  # n_T candidate draws before falling back to random
-    batch_size: int = 16  # m: task results per training step
-    learning_rate: float = 4e-4
-    candidate_pool: int = 100  # tasks per FitNormal refresh
-    p_easy: float = 1.0 / 3.0
-    p_frontier: float = 1.0 / 3.0
-    p_random: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if not math.isclose(self.p_easy + self.p_frontier + self.p_random, 1.0, abs_tol=1e-9):
-            raise ValueError("task-type probabilities must sum to 1")
-        if self.max_trials < 1:
-            raise ValueError("max_trials must be >= 1")
-        if not 0.0 <= self.easy_threshold < 1.0:
-            raise ValueError("easy_threshold must lie in [0, 1)")
 
 
 def fit_normal(success_probs) -> tuple[float, float]:
@@ -48,7 +26,7 @@ def fit_normal(success_probs) -> tuple[float, float]:
     return mu, sigma
 
 
-def is_easy(f: float, mu: float, sigma: float, config: NavAclConfig) -> bool:
+def is_easy(f: float, mu: float, sigma: float, config: RunConfig) -> bool:
     """Easy-task predicate with both late-stage corner cases: the saturated
     band (mu + beta*sigma >= 1) degrades to f > mu, and the chi threshold
     admits near-certain tasks regardless of the band."""
@@ -57,11 +35,11 @@ def is_easy(f: float, mu: float, sigma: float, config: NavAclConfig) -> bool:
     return f > mu
 
 
-def is_frontier(f: float, mu: float, sigma: float, config: NavAclConfig) -> bool:
+def is_frontier(f: float, mu: float, sigma: float, config: RunConfig) -> bool:
     return mu - config.frontier_band * sigma < f < mu + config.frontier_band * sigma
 
 
-def classify(f: float, mu: float, sigma: float, config: NavAclConfig) -> str:
+def classify(f: float, mu: float, sigma: float, config: RunConfig) -> str:
     """Label one prediction as ``easy``, ``frontier``, or ``neither``.
 
     Easy wins when the bands overlap, mirroring the order the task generator
@@ -74,7 +52,7 @@ def classify(f: float, mu: float, sigma: float, config: NavAclConfig) -> str:
     return "neither"
 
 
-def draw_task_type(rng: np.random.Generator, config: NavAclConfig) -> str:
+def draw_task_type(rng: np.random.Generator, config: RunConfig) -> str:
     u = rng.uniform()
     if u < config.p_easy:
         return "easy"
@@ -84,7 +62,7 @@ def draw_task_type(rng: np.random.Generator, config: NavAclConfig) -> str:
 
 
 def get_dynamic_task(task_sampler, predict, mu: float, sigma: float,
-                     config: NavAclConfig, rng: np.random.Generator,
+                     config: RunConfig, rng: np.random.Generator,
                      task_type: str | None = None):
     """Draw fresh tasks until one matches the requested difficulty.
 
@@ -143,7 +121,7 @@ class SuccessPredictor:
     ReLU hidden layers and a sigmoid head, trained with binary cross-entropy
     on standardized features."""
 
-    def __init__(self, rng, learning_rate: float = 4e-4):
+    def __init__(self, rng, learning_rate: float):
         self.net = DenseNet([N_FEATURES, 32, 32, 1], ["relu", "relu", "sigmoid"], rng=rng)
         self.stats = RunningStats()
         self.adam = AdamState(self.net.parameters(), learning_rate)

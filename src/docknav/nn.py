@@ -474,10 +474,3 @@ def read_checkpoint(path, prefix: str = "", into=None) -> tuple[dict, dict[str, 
                 _read_exact(fh, _byte_view(arr), path)
                 arrays[name] = arr
     return meta, arrays
-
-
-def load_net_arrays(net: DenseNet, prefix: str, arrays: dict[str, np.ndarray]) -> DenseNet:
-    """Overwrite ``net``'s parameters with the array ``{prefix}.params``, a
-    network's ``flat``, cast to the network's dtype."""
-    net.flat[...] = arrays[f"{prefix}.params"].reshape(net.flat.shape)  # no broadcast
-    return net

@@ -25,8 +25,9 @@ import numpy as np
 
 from . import curriculum as cur
 from . import nn, world
-from .per import Episode, PerConfig, PrioritizedReplay, anneal_b
-from .sac import Actor, SacConfig, SacLearner
+from .config import RunConfig, validate_config
+from .per import Episode, PrioritizedReplay, anneal_b
+from .sac import Actor, SacLearner
 
 MASTER_SEED_OFFSET = 2**31  # keeps the master stream clear of worker streams
 ACT_DIM = 2  # (linear, angular) velocity command
@@ -91,11 +92,11 @@ class Worker:
         if t.variant != "navacl_q":
             chosen = self._evaluate_task(self._sample_task())
             return chosen._replace(prediction=float("nan")), "random"
-        pool = [self._sample_task() for _ in range(t.navacl_config.candidate_pool)]
+        pool = [self._sample_task() for _ in range(t.config.candidate_pool)]
         mu, sigma = cur.fit_normal(self._score(pool)[2])
         chosen, task_type, _ = cur.get_dynamic_task(
             lambda: self._evaluate_task(self._sample_task()), lambda c: c.prediction,
-            mu, sigma, t.navacl_config, self.rng,
+            mu, sigma, t.config, self.rng,
         )
         return chosen, task_type
 
@@ -133,28 +134,23 @@ class Trainer:
     """Owns the learner, the replay buffer, the success predictor, telemetry,
     the rollout workers and the training loop."""
 
-    def __init__(self, config, seed: int, out_dir=None,
+    def __init__(self, config: RunConfig, seed: int, out_dir=None,
                  robot: world.RobotSpec | None = None, dolly: world.DollySpec | None = None):
-        self.config = config
+        self.config = validate_config(config)
         self.seed = seed
         self.robot = robot or world.RobotSpec()
         self.dolly = dolly or world.DollySpec()
         self.variant = config.variant
         self.task_bounds = config.to_task_bounds()
-        self.sac_config: SacConfig = config.to_sac_config()
-        self.per_config: PerConfig = config.to_per_config()
-        self.navacl_config = config.to_navacl_config()
         self.step_limit = config.step_limit
         self.dtype = np.dtype(config.dtype)
         self.obs_dim = world.observation_dim(self.robot)
         self.act_dim = ACT_DIM
 
         init_rng = np.random.default_rng(seed)
-        self.learner = SacLearner(self.obs_dim, self.act_dim, self.sac_config, init_rng,
-                                  dtype=self.dtype)
-        self.fpi = cur.SuccessPredictor(rng=init_rng,
-                                        learning_rate=self.navacl_config.learning_rate)
-        self.replay = PrioritizedReplay(config.replay_capacity, self.per_config,
+        self.learner = SacLearner(self.obs_dim, self.act_dim, config, init_rng, dtype=self.dtype)
+        self.fpi = cur.SuccessPredictor(rng=init_rng, learning_rate=config.fpi_lr)
+        self.replay = PrioritizedReplay(config.replay_capacity, config,
                                         obs_dim=self.obs_dim, act_dim=self.act_dim,
                                         dtype=self.dtype)
         self.master_rng = np.random.default_rng(seed + MASTER_SEED_OFFSET)
@@ -220,7 +216,7 @@ class Trainer:
         self.pending_updates += self.config.updates_per_episode
         if self.variant == "navacl_q":
             self.result_set.append((episode.features, 1.0 if episode.success else 0.0))
-            count = self.navacl_config.batch_size
+            count = self.config.result_batch_size
             if len(self.result_set) >= count:  # one predictor step on the oldest results
                 batch = self.result_set[:count]
                 del self.result_set[:count]
@@ -249,10 +245,10 @@ class Trainer:
     def run_update(self) -> bool:
         """One SAC gradient step off the replay buffer; False when the buffer
         is still below one batch."""
-        batch_size = self.sac_config.batch_size
+        batch_size = self.config.batch_size
         if len(self.replay) < batch_size:
             return False
-        b = anneal_b(self._progress(), self.per_config)
+        b = anneal_b(self._progress(), self.config)
         batch, idx, weights = self.replay.sample(batch_size, b, self.master_rng)
         try:
             td_abs, _ = self.learner.update(
@@ -495,5 +491,5 @@ def actor_from_checkpoint(path, dtype=np.float32) -> Actor:
     obs_dim, act_dim = int(layers[0]), int(layers[-1]) // 2
     actor = Actor(obs_dim, act_dim, tuple(int(h) for h in layers[1:-1]),
                   rng=np.random.default_rng(0), dtype=dtype)
-    nn.load_net_arrays(actor.net, "actor", arrays)
+    actor.net.flat[...] = arrays["actor.params"].reshape(actor.net.flat.shape)  # no broadcast
     return actor

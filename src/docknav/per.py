@@ -18,22 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PerConfig:
-    priority_exponent: float = 0.6  # c
-    is_exponent_start: float = 0.4  # b0
-    is_exponent_end: float = 0.6  # b1
-    priority_floor: float = 1e-6  # keeps zero-TD-error samples reachable
-
-    def __post_init__(self):
-        if not 0.0 <= self.priority_exponent <= 1.0:
-            raise ValueError("priority exponent must lie in [0, 1]")
-        if not 0.0 <= self.is_exponent_start <= self.is_exponent_end <= 1.0:
-            raise ValueError("need 0 <= b0 <= b1 <= 1")
+from .config import RunConfig
 
 
-def anneal_b(progress: float, config: PerConfig) -> float:
+def anneal_b(progress: float, config: RunConfig) -> float:
     """Linear importance-sampling exponent schedule between b0 and b1."""
     if not 0.0 <= progress <= 1.0:
         raise ValueError(f"progress {progress} outside [0, 1]")
@@ -160,9 +148,9 @@ class PrioritizedReplay:
     push overwrites are always its oldest.
     """
 
-    def __init__(self, capacity: int, config: PerConfig | None = None, *,
+    def __init__(self, capacity: int, config: RunConfig | None = None, *,
                  obs_dim: int, act_dim: int = 2, dtype=np.float32):
-        self.config = config or PerConfig()
+        self.config = config or RunConfig()
         self.tree = SumTree(capacity)
         self.capacity = capacity
         self.size = 0

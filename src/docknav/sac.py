@@ -8,29 +8,13 @@ All gradients are computed analytically against the dense-network tape (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .nn import AdamState, DenseNet, adam_step, net_grads_list
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass
-class SacConfig:
-    gamma: float = 0.999
-    critic_lr: float = 2e-4
-    actor_lr: float = 2e-4
-    alpha_lr: float = 2e-4
-    initial_alpha: float = 0.2
-    target_entropy: float | None = None  # defaults to -action_dim
-    target_update_interval: int = 1000  # hard copy (tau = 1) every this many updates
-    batch_size: int = 256
-    hidden: tuple[int, ...] = (256, 256)
-    log_std_min: float = -20.0
-    log_std_max: float = 2.0
-    tanh_eps: float = 1e-6
 
 
 class Actor:
@@ -199,15 +183,13 @@ class SacLearner:
     step, temperature step, then the periodic hard target copy.
     """
 
-    def __init__(self, obs_dim, act_dim, config: SacConfig, rng, dtype=np.float64):
+    def __init__(self, obs_dim, act_dim, config: RunConfig, rng, dtype=np.float64):
         self.config = config
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.actor = Actor(obs_dim, act_dim, config.hidden, rng, dtype,
                            config.log_std_min, config.log_std_max, config.tanh_eps)
         self.critics = CriticPair(obs_dim, act_dim, config.hidden, rng, dtype)
-        self.target_entropy = (config.target_entropy if config.target_entropy is not None
-                               else -float(act_dim))
         self.adam_actor = AdamState(self.actor.net.parameters(), config.actor_lr)
         self.adam_q1 = AdamState(self.critics.q1.parameters(), config.critic_lr)
         self.adam_q2 = AdamState(self.critics.q2.parameters(), config.critic_lr)
@@ -240,7 +222,7 @@ class SacLearner:
         aloss, ga, logp = actor_loss_and_grads(self.actor, self.critics, obs, noise, self.alpha)
         adam_step(self.actor.net.parameters(), net_grads_list(ga), self.adam_actor)
 
-        tloss, tgrad = alpha_loss_and_grad(logp, self.log_alpha, self.target_entropy)
+        tloss, tgrad = alpha_loss_and_grad(logp, self.log_alpha, cfg.target_entropy)
         adam_step(self._alpha_param, [np.array([tgrad])], self.adam_alpha)
 
         self.n_updates += 1

@@ -273,7 +273,7 @@ def select_task_reference(worker):
                              task.relative_angle, q0])
         return features, float(worker.fpi.predict(features[None, :])[0])
 
-    config = trainer.navacl_config
+    config = trainer.config
     pool = [worker._sample_task() for _ in range(config.candidate_pool)]
     mu, sigma = curriculum.fit_normal([evaluate(task)[1] for task in pool])
     task, task_type, _ = curriculum.get_dynamic_task(
@@ -363,7 +363,7 @@ def sac_update_reference(learner, obs, act, rewards, terminals, next_obs, weight
     adam_step(actor.net.parameters(), _grads_list(dwa, dba), learner.adam_actor)
 
     # temperature step and the periodic hard copy
-    tloss = float(np.mean(-math.exp(learner.log_alpha) * (logp + learner.target_entropy)))
+    tloss = float(np.mean(-math.exp(learner.log_alpha) * (logp + cfg.target_entropy)))
     adam_step(learner._alpha_param, [np.array([tloss])], learner.adam_alpha)
     learner.n_updates += 1
     if learner.n_updates % cfg.target_update_interval == 0:

@@ -5,8 +5,8 @@ checkable without reference to the simulator."""
 import numpy as np
 
 from docknav.config import RunConfig
-from docknav.per import Episode, PerConfig, PrioritizedReplay
-from docknav.sac import SacConfig, SacLearner
+from docknav.per import Episode, PrioritizedReplay
+from docknav.sac import SacLearner
 
 
 def one_step_episode(obs, action, reward, next_obs, terminal, worker_id=0) -> Episode:
@@ -65,12 +65,12 @@ def train_drive_to_origin(seed: int, env_steps: int = 20000):
     The entropy target is set below -action_dim: reaching the optimum needs a
     saturated tanh mean, which a high entropy floor actively fights.
     """
-    cfg = SacConfig(gamma=0.99, critic_lr=1e-3, actor_lr=1e-3, alpha_lr=1e-3,
+    cfg = RunConfig(gamma=0.99, critic_lr=1e-3, actor_lr=1e-3, alpha_lr=1e-3,
                     target_entropy=-3.0, batch_size=256, hidden=(48, 48),
                     target_update_interval=1000)
     rng = np.random.default_rng(seed)
     learner = SacLearner(1, 1, cfg, np.random.default_rng(seed + 1000))
-    buf = PrioritizedReplay(2**15, PerConfig(), obs_dim=1, act_dim=1, dtype=np.float64)
+    buf = PrioritizedReplay(2**15, cfg, obs_dim=1, act_dim=1, dtype=np.float64)
     env = DriveToOrigin()
     obs = env.reset()
     for step in range(env_steps):
@@ -95,12 +95,12 @@ def train_drive_to_origin(seed: int, env_steps: int = 20000):
 
 def train_bandit(seed: int, env_steps: int = 8000, alpha_lr: float = 1e-3):
     """SAC on the fixed-state bandit; returns the learner."""
-    cfg = SacConfig(gamma=0.99, critic_lr=1e-3, actor_lr=1e-3, alpha_lr=alpha_lr,
+    cfg = RunConfig(gamma=0.99, critic_lr=1e-3, actor_lr=1e-3, alpha_lr=alpha_lr,
                     target_entropy=-2.0, batch_size=256, hidden=(48, 48),
                     target_update_interval=1000)
     rng = np.random.default_rng(seed)
     learner = SacLearner(1, 2, cfg, np.random.default_rng(seed + 500))
-    buf = PrioritizedReplay(2**14, PerConfig(), obs_dim=1, act_dim=2, dtype=np.float64)
+    buf = PrioritizedReplay(2**14, cfg, obs_dim=1, act_dim=2, dtype=np.float64)
     env = FixedStateBandit()
     for step in range(env_steps):
         a, _ = learner.actor.act(env.obs, rng=rng, mode="sample")

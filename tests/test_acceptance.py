@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from docknav import reporting
+from docknav.config import RunConfig
 from docknav.curriculum import (
-    NavAclConfig,
     bce_loss,
     get_dynamic_task,
     is_easy,
@@ -21,7 +21,7 @@ from docknav.curriculum import (
 from docknav.grid_eval import GridEvalConfig, run_grid_eval
 from docknav.nn import DenseNet, net_grads_list
 from docknav.orchestrator import Trainer
-from docknav.per import PerConfig, PrioritizedReplay, SumTree
+from docknav.per import PrioritizedReplay, SumTree
 from docknav.sac import Actor, CriticPair, actor_loss_and_grads, alpha_loss_and_grad, critic_losses
 from docknav.world import EventFlags, RobotSpec, World, compute_reward, sample_task
 
@@ -186,7 +186,7 @@ def test_criterion_4_sum_tree():
         checked += len(draws)
 
     # (b) stratified frequencies at 1e6 draws
-    buf = PrioritizedReplay(4, PerConfig(priority_exponent=1.0, priority_floor=1e-12),
+    buf = PrioritizedReplay(4, RunConfig(priority_exponent=1.0, priority_floor=1e-12),
                             obs_dim=1)
     for _ in range(4):
         buf.push_episode(one_step_episode(np.zeros(1), (0, 0), 0.0, np.zeros(1), False))
@@ -223,7 +223,7 @@ def test_criterion_5_classification_oracle():
     saturated_hits = 0
     chi_hits = 0
     for _ in range(10_000):
-        cfg = NavAclConfig(
+        cfg = RunConfig(
             easy_band=float(rng.uniform(0, 2)),
             frontier_band=float(rng.uniform(0, 0.5)),
             easy_threshold=float(rng.uniform(0.5, 0.999)),
@@ -246,7 +246,7 @@ def test_criterion_5_classification_oracle():
         mismatches += got != expected
 
     calls = []
-    cfg = NavAclConfig()
+    cfg = RunConfig()
     for _ in range(500):
         count = [0]
 
@@ -406,8 +406,6 @@ def test_criterion_9_grid_harness(tmp_path):
 
 
 def test_criterion_10_determinism_and_distribution(tmp_path):
-    from docknav.config import RunConfig
-
     def cfg(**kw):
         base = dict(variant="navacl_q", seeds=(1,), episode_budget=6, workers=1,
                     updates_per_episode=2, replay_capacity=1024, dtype="float64",

@@ -1,10 +1,13 @@
 import re
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 
 from docknav import config
 from docknav.config import ConfigError, RunConfig, config_overrides, echo_config, parse_config
+
+from _toys import desk_nav_config
 
 
 def test_empty_file_is_all_defaults(tmp_path):
@@ -104,6 +107,94 @@ def test_echo_round_trip_of_defaults(tmp_path):
     assert parse_config(echoed) == RunConfig()
 
 
+# The bytes echo_config writes for the defaults: the effective_config.ini
+# format, which changes only on purpose.
+DEFAULTS_ECHO = """\
+[run]
+variant = navacl_q
+seeds = 1, 2, 3
+episode_budget = 20000
+workers = 4
+wall_clock_limit = 0.0
+updates_per_episode = 32
+replay_capacity = 131072
+dtype = float32
+step_limit = 500
+checkpoint_interval = 0
+
+[world]
+room_min = 8.0
+room_max = 12.0
+distance_min = 1.5
+distance_max = 5.0
+bearing_half_angle_deg = 15.0
+relative_yaw_half_deg = 90.0
+dolly_yaw_half_deg = 15.0
+obstacle_count_min = 1
+obstacle_count_max = 4
+obstacle_distance_min = 2.0
+obstacle_distance_max = 5.0
+obstacle_side_min = 0.5
+obstacle_side_max = 1.5
+position_jitter = 0.5
+start_anchor_y = 1.5
+
+[sac]
+gamma = 0.999
+critic_lr = 0.0002
+actor_lr = 0.0002
+alpha_lr = 0.0002
+initial_alpha = 0.2
+target_entropy = -2.0
+target_update_interval = 1000
+batch_size = 256
+hidden = 256, 256
+log_std_min = -20.0
+log_std_max = 2.0
+tanh_eps = 1e-06
+
+[per]
+priority_exponent = 0.6
+is_exponent_start = 0.4
+is_exponent_end = 0.6
+priority_floor = 1e-06
+
+[curriculum]
+easy_band = 1.0
+frontier_band = 0.1
+easy_threshold = 0.95
+max_trials = 100
+result_batch_size = 16
+fpi_lr = 0.0004
+candidate_pool = 100
+p_easy = 0.3333333333333333
+p_frontier = 0.3333333333333333
+p_random = 0.3333333333333333
+
+[eval]
+grid_extent = 5.0
+grid_cell = 0.5
+orientations_deg = 0.0, 45.0, -45.0, 90.0, -90.0, 135.0, -135.0, 180.0
+repeats = 9
+grid_offset = 1.0
+eval_room_side = 14.0
+
+"""
+
+
+def test_echo_of_defaults_is_frozen(tmp_path):
+    echoed = tmp_path / "defaults.ini"
+    echo_config(RunConfig(), echoed)
+    assert echoed.read_bytes() == DEFAULTS_ECHO.encode()
+
+
+@pytest.mark.parametrize("name,obstacles", [("desk_nav.ini", False),
+                                            ("desk_nav_obstacles.ini", True)])
+def test_shipped_configs_match_desk_nav_config(name, obstacles):
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    assert parse_config(path) == desk_nav_config(obstacles=obstacles)
+
+
 def test_overrides_validated():
     cfg = RunConfig()
     out = config_overrides(cfg, workers=9, variant="random_starts")
@@ -167,8 +258,4 @@ def test_unsupported_annotation_fails():
 
 
 def test_builders_take_renamed_fields():
-    cfg = RunConfig(batch_size=64, result_batch_size=8, fpi_lr=1e-3, eval_room_side=20.0)
-    navacl = cfg.to_navacl_config()
-    assert (navacl.batch_size, navacl.learning_rate) == (8, 1e-3)
-    assert cfg.to_sac_config().batch_size == 64
-    assert cfg.to_grid_eval_config().room_side == 20.0
+    assert RunConfig(eval_room_side=20.0).to_grid_eval_config().room_side == 20.0

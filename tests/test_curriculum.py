@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from docknav.config import RunConfig
 from docknav.curriculum import (
-    NavAclConfig,
     RunningStats,
     SuccessPredictor,
     bce_loss,
@@ -72,7 +72,7 @@ def test_fit_normal_matches_two_pass_oracle():
 
 
 def test_classify_spec_examples():
-    cfg = NavAclConfig()
+    cfg = RunConfig()
     assert classify(0.65, 0.5, 0.1, cfg) == "easy"
     assert classify(0.96, 0.95, 0.1, cfg) == "easy"  # mu + beta*sigma > 1 branch
     assert classify(0.505, 0.5, 0.1, cfg) == "frontier"
@@ -83,7 +83,7 @@ def test_classify_spec_examples():
 def test_classify_matches_bruteforce_on_random_tuples():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
-        cfg = NavAclConfig(
+        cfg = RunConfig(
             easy_band=float(rng.uniform(0.0, 2.0)),
             frontier_band=float(rng.uniform(0.0, 0.5)),
             easy_threshold=float(rng.uniform(0.5, 0.999)),
@@ -95,18 +95,18 @@ def test_classify_matches_bruteforce_on_random_tuples():
 
 
 def test_classify_corner_branches_hit():
-    cfg = NavAclConfig()
+    cfg = RunConfig()
     # saturated band: easy degrades to f > mu
     assert is_easy(0.96, 0.95, 0.2, cfg)
     assert not is_easy(0.94, 0.95, 0.2, cfg)
     # chi: high prediction is easy even far above the band
     assert is_easy(0.97, 0.2, 0.05, cfg)
     # boundary: mu + beta*sigma == 1 exactly takes the saturated branch
-    assert is_easy(0.85, 0.8, 0.2, NavAclConfig(easy_band=1.0, easy_threshold=0.95))
+    assert is_easy(0.85, 0.8, 0.2, RunConfig(easy_band=1.0, easy_threshold=0.95))
 
 
 def test_easy_region_superset_of_band_when_chi_below_band():
-    cfg = NavAclConfig(easy_threshold=0.6)
+    cfg = RunConfig(easy_threshold=0.6)
     mu, sigma = 0.5, 0.2  # band top 0.7 < 1, chi 0.6 < band top
     assert is_easy(0.65, mu, sigma, cfg)  # above chi, below band
     assert is_easy(0.75, mu, sigma, cfg)  # above band
@@ -114,7 +114,7 @@ def test_easy_region_superset_of_band_when_chi_below_band():
 
 
 def test_frontier_band_is_open_interval():
-    cfg = NavAclConfig()
+    cfg = RunConfig()
     assert not is_frontier(0.51, 0.5, 0.1, cfg)  # boundary excluded
     assert is_frontier(0.509999, 0.5, 0.1, cfg)
     assert not is_frontier(0.3, 0.5, 0.0, cfg)  # zero sigma: empty band
@@ -137,14 +137,14 @@ class CountingSampler:
 def test_random_type_returns_first_sample():
     sampler = CountingSampler([0.42])
     task, ttype, pred = get_dynamic_task(sampler, lambda t: t, 0.5, 0.1,
-                                         NavAclConfig(), np.random.default_rng(0),
+                                         RunConfig(), np.random.default_rng(0),
                                          task_type="random")
     assert (task, ttype) == (0.42, "random")
     assert sampler.calls == 1
 
 
 def test_fallback_after_max_trials():
-    cfg = NavAclConfig(max_trials=100)
+    cfg = RunConfig(max_trials=100)
     sampler = CountingSampler([0.5])  # constant prediction can never be easy
     task, ttype, _ = get_dynamic_task(sampler, lambda t: 0.5, 0.9, 0.01, cfg,
                                       np.random.default_rng(0), task_type="easy")
@@ -154,7 +154,7 @@ def test_fallback_after_max_trials():
 
 def test_sampler_call_budget_never_exceeded():
     rng = np.random.default_rng(2)
-    cfg = NavAclConfig(max_trials=100)
+    cfg = RunConfig(max_trials=100)
     for _ in range(200):
         mu = float(rng.uniform(0, 1))
         sigma = float(rng.uniform(0, 0.3))
@@ -165,7 +165,7 @@ def test_sampler_call_budget_never_exceeded():
 
 def test_accepted_task_satisfies_predicate():
     rng = np.random.default_rng(3)
-    cfg = NavAclConfig(max_trials=100)
+    cfg = RunConfig(max_trials=100)
     for _ in range(10_000):
         mu = float(rng.uniform(0.2, 0.8))
         sigma = float(rng.uniform(0.01, 0.3))
@@ -181,23 +181,18 @@ def test_accepted_task_satisfies_predicate():
 
 
 def test_task_type_distribution():
-    cfg = NavAclConfig(p_easy=0.5, p_frontier=0.25, p_random=0.25)
+    cfg = RunConfig(p_easy=0.5, p_frontier=0.25, p_random=0.25)
     rng = np.random.default_rng(4)
     draws = [draw_task_type(rng, cfg) for _ in range(20_000)]
     assert abs(draws.count("easy") / 20_000 - 0.5) < 0.02
     assert abs(draws.count("frontier") / 20_000 - 0.25) < 0.02
 
 
-def test_task_type_probabilities_validated():
-    with pytest.raises(ValueError):
-        NavAclConfig(p_easy=0.5, p_frontier=0.5, p_random=0.5)
-
-
 # -- success predictor ------------------------------------------------------------
 
 
 def test_bce_at_half_is_ln2():
-    predictor = SuccessPredictor(rng=np.random.default_rng(5))
+    predictor = SuccessPredictor(rng=np.random.default_rng(5), learning_rate=4e-4)
     for W, b in zip(predictor.net.weights, predictor.net.biases):
         W[...] = 0.0
         b[...] = 0.0
@@ -225,14 +220,14 @@ def test_bce_gradient_check():
 
 
 def test_predictor_output_strictly_in_unit_interval():
-    predictor = SuccessPredictor(rng=np.random.default_rng(8))
+    predictor = SuccessPredictor(rng=np.random.default_rng(8), learning_rate=4e-4)
     extreme = np.array([[1e6, -1e6, 1e6, -1e6, 1e6], [0.0, 0.0, 0.0, 0.0, 0.0]])
     p = predictor.predict(extreme)
     assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
 def test_predictor_rejects_non_finite_features():
-    predictor = SuccessPredictor(rng=np.random.default_rng(9))
+    predictor = SuccessPredictor(rng=np.random.default_rng(9), learning_rate=4e-4)
     bad = np.array([[1.0, np.nan, 0.0, 0.0, 0.0]])
     with pytest.raises(ValueError):
         predictor.predict(bad)
@@ -242,7 +237,7 @@ def test_predictor_rejects_non_finite_features():
 
 def test_predictor_learns_separable_rule():
     rng = np.random.default_rng(10)
-    predictor = SuccessPredictor(rng=rng)
+    predictor = SuccessPredictor(rng=rng, learning_rate=4e-4)
 
     def sample_features(n):
         return np.column_stack([

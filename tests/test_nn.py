@@ -16,7 +16,6 @@ from docknav.nn import (
     DenseNet,
     GradientError,
     adam_step,
-    load_net_arrays,
     net_grads_list,
     read_checkpoint,
     write_checkpoint,
@@ -239,7 +238,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = tmp_path / "net.ckpt"
     write_checkpoint(path, {"note": 1}, {"net.params": net.flat})
     meta, arrays = read_checkpoint(path)
-    restored = load_net_arrays(DenseNet([4, 8, 2], ["relu", "identity"]), "net", arrays)
+    restored = DenseNet([4, 8, 2], ["relu", "identity"])
+    restored.flat[...] = arrays["net.params"]
     for a, b in zip(net.parameters(), restored.parameters()):
         assert np.array_equal(a, b)
     assert meta["note"] == 1

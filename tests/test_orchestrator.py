@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from docknav import curriculum, orchestrator, world
-from docknav.config import RunConfig
+from docknav.config import ConfigError, RunConfig
 from docknav.nn import CheckpointError, read_checkpoint, write_checkpoint
 from docknav.orchestrator import (
     Trainer,
@@ -164,7 +164,7 @@ def test_async_training_pays_update_debt(tmp_path):
     trainer = make_trainer(out_dir=tmp_path / "debt", workers=2, episode_budget=8,
                            updates_per_episode=4, batch_size=8)
     trainer.train()
-    assert len(trainer.replay) >= trainer.sac_config.batch_size
+    assert len(trainer.replay) >= trainer.config.batch_size
     assert trainer.learner.n_updates == trainer.episodes_received * 4
     assert trainer.pending_updates == 0.0
 
@@ -198,9 +198,18 @@ def test_finished_trainer_freed_without_cycle_collection(tmp_path):
 
 
 def test_idle_when_buffer_below_batch():
-    trainer = make_trainer(batch_size=4096)
+    trainer = make_trainer(batch_size=4096, replay_capacity=4096)
     assert trainer.run_update() is False
     assert trainer.learner.n_updates == 0
+
+
+def test_trainer_validates_a_config_built_in_python():
+    with pytest.raises(ConfigError) as err:
+        Trainer(RunConfig(p_easy=0.5, p_frontier=0.5, p_random=0.5, batch_size=4096,
+                          replay_capacity=1024), seed=1)
+    message = str(err.value)
+    assert "probabilities must sum to 1" in message
+    assert "batch_size must not exceed run.replay_capacity" in message
 
 
 def test_fpi_batch_flush():

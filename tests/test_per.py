@@ -3,10 +3,10 @@ import threading
 import numpy as np
 import pytest
 
+from docknav.config import RunConfig
 from docknav.per import (
     Episode,
     EpisodeQueue,
-    PerConfig,
     PrioritizedReplay,
     QueueClosed,
     SumTree,
@@ -152,7 +152,7 @@ def test_fifo_overwrite():
 
 
 def test_stored_priority_formula():
-    buf = PrioritizedReplay(4, PerConfig(), obs_dim=1)
+    buf = PrioritizedReplay(4, RunConfig(), obs_dim=1)
     push_with_td_errors(buf, [1.0])
     expected = (1.0 + 1e-6) ** 0.6
     assert buf.tree.leaf(0) == pytest.approx(expected, abs=1e-12)
@@ -173,7 +173,7 @@ def test_uniform_priorities_give_unit_weights():
 
 
 def test_importance_weights_formula():
-    buf = PrioritizedReplay(4, PerConfig(priority_exponent=1.0, priority_floor=1e-12),
+    buf = PrioritizedReplay(4, RunConfig(priority_exponent=1.0, priority_floor=1e-12),
                             obs_dim=1)
     push_with_td_errors(buf, [1.0, 3.0])
     batch, idx, weights = buf.sample(2, b=0.5, rng=np.random.default_rng(3))
@@ -184,7 +184,7 @@ def test_importance_weights_formula():
 
 
 def test_stratified_frequencies_converge():
-    buf = PrioritizedReplay(4, PerConfig(priority_exponent=1.0, priority_floor=1e-12),
+    buf = PrioritizedReplay(4, RunConfig(priority_exponent=1.0, priority_floor=1e-12),
                             obs_dim=1)
     push_with_td_errors(buf, [1.0, 2.0, 3.0, 4.0])
     rng = np.random.default_rng(4)
@@ -323,7 +323,7 @@ def test_side_table_grows_with_episodes_held():
 
 
 def test_anneal_b_endpoints_and_midpoint():
-    cfg = PerConfig()
+    cfg = RunConfig()
     assert anneal_b(0.0, cfg) == pytest.approx(0.4)
     assert anneal_b(1.0, cfg) == pytest.approx(0.6)
     assert anneal_b(0.5, cfg) == pytest.approx(0.5)

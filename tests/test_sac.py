@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from docknav.config import RunConfig
 from docknav.nn import net_grads_list
 from docknav.sac import (
     Actor,
     CriticPair,
-    SacConfig,
     SacLearner,
     actor_loss_and_grads,
     alpha_loss_and_grad,
@@ -271,7 +271,7 @@ def test_hard_update_copies_exactly():
 
 
 def test_target_update_interval_boundary():
-    cfg = SacConfig(hidden=(8,), batch_size=4, target_update_interval=1000)
+    cfg = RunConfig(hidden=(8,), batch_size=4, target_update_interval=1000)
     learner = SacLearner(OBS_DIM, ACT_DIM, cfg, np.random.default_rng(13))
     rng = np.random.default_rng(14)
     obs = rng.normal(size=(4, OBS_DIM))
@@ -293,7 +293,7 @@ def test_target_update_interval_boundary():
 def test_learner_update_deterministic():
     results = []
     for _ in range(2):
-        cfg = SacConfig(hidden=(8,), batch_size=4)
+        cfg = RunConfig(hidden=(8,), batch_size=4)
         learner = SacLearner(OBS_DIM, ACT_DIM, cfg, np.random.default_rng(15))
         rng = np.random.default_rng(16)
         obs = rng.normal(size=(4, OBS_DIM))
@@ -324,7 +324,7 @@ def test_learner_update_bitwise_equals_reference(dtype):
     # hidden width at which BLAS rounds a narrower product differently
     obs_dim, batch, n_updates = 64, 40, 32
     # 32 updates cross the hard-copy interval three times
-    cfg = SacConfig(hidden=(128, 128), batch_size=batch, target_update_interval=10)
+    cfg = RunConfig(hidden=(128, 128), batch_size=batch, target_update_interval=10)
     learner = SacLearner(obs_dim, ACT_DIM, cfg, np.random.default_rng(21), dtype=dtype)
     reference = SacLearner(obs_dim, ACT_DIM, cfg, np.random.default_rng(21), dtype=dtype)
     data = np.random.default_rng(22)
