@@ -99,7 +99,7 @@ class RunningStats:
         self.m2 = np.zeros(dim)
 
     def update(self, batch: np.ndarray) -> None:
-        for row in np.atleast_2d(np.asarray(batch, dtype=np.float64)):
+        for row in np.asarray(batch, dtype=np.float64):
             self.count += 1
             delta = row - self.mean
             self.mean += delta / self.count
@@ -127,8 +127,9 @@ class SuccessPredictor:
         self.adam = AdamState(self.net.parameters(), learning_rate)
 
     def predict(self, features) -> np.ndarray:
-        """Success probabilities, strictly inside (0, 1)."""
-        x = self.stats.standardize(np.atleast_2d(np.asarray(features, dtype=np.float64)))
+        """Success probabilities of a 2-D batch of feature rows, strictly
+        inside (0, 1)."""
+        x = self.stats.standardize(np.asarray(features, dtype=np.float64))
         if not np.isfinite(x).all():
             raise ValueError("non-finite curriculum features")
         p = self.net.forward(x)[:, 0]
@@ -138,8 +139,10 @@ class SuccessPredictor:
     def train_batch(self, features, labels) -> float:
         """One BCE gradient step; returns the batch loss. Updates the running
         standardization statistics with the observed features first."""
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
+        if features.ndim != 2:
+            raise ValueError(f"curriculum features must be a 2-D batch, got shape {features.shape}")
         if not np.isfinite(features).all():
             raise ValueError("non-finite curriculum features")
         self.stats.update(features)
@@ -161,13 +164,10 @@ def bce_loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)))
 
 
-def initial_q_feature(critic: DenseNet, actor, observations):
-    """Critic value of a start state under the policy's mean action - the
-    learned difficulty signal appended to the geometric task features. One
-    observation gives a float; a stack of them gives an array, from one actor
+def initial_q_feature(critic: DenseNet, actor, observations) -> np.ndarray:
+    """Critic values of start states under the policy's mean action - the
+    learned difficulty signal appended to the geometric task features. Takes
+    a 2-D batch of observations and returns one value per row, from one actor
     and one critic forward."""
-    observations = np.asarray(observations)
-    stack = np.atleast_2d(observations)
-    actions, _ = actor.sample_with_noise(stack, np.zeros((len(stack), actor.act_dim)))
-    q = critic.forward(np.concatenate([stack, actions], axis=1))[:, 0]
-    return float(q[0]) if observations.ndim == 1 else q
+    actions, _ = actor.sample_with_noise(observations, np.zeros((len(observations), actor.act_dim)))
+    return critic.forward(np.concatenate([observations, actions], axis=1))[:, 0]

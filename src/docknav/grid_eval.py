@@ -25,16 +25,18 @@ SUMMARY_FIELDS = ["row", "orientation_deg", "success_rate", "valid_cells", "inva
 
 @dataclass(frozen=True)
 class GridEvalConfig:
-    """The evaluation grid. ``repeats`` episodes run per valid cell; they are
-    bit-identical replicas, since the world has no randomness and the policy
-    is deterministic (``docknav eval-grid`` acts with the mean action)."""
+    """The evaluation grid, built from a run's ``[eval]`` section by
+    ``RunConfig.to_grid_eval_config``. ``repeats`` episodes run per valid
+    cell; they are bit-identical replicas, since the world has no randomness
+    and the policy is deterministic (``docknav eval-grid`` acts with the mean
+    action)."""
 
-    grid_extent: float = 5.0
-    grid_cell: float = 0.5
-    orientations_deg: tuple[float, ...] = (0.0, 45.0, -45.0, 90.0, -90.0, 135.0, -135.0, 180.0)
-    repeats: int = 9
-    grid_offset: float = 1.0  # nearest grid row to the dolly center
-    room_side: float = 14.0
+    grid_extent: float
+    grid_cell: float
+    orientations_deg: tuple[float, ...]
+    repeats: int
+    grid_offset: float  # nearest grid row to the dolly center
+    room_side: float
 
     @property
     def positions_per_side(self) -> int:
@@ -138,7 +140,7 @@ class GridEvalResult:
 
 def run_grid_eval(
     policy,
-    config: GridEvalConfig | None = None,
+    config: GridEvalConfig,
     out_dir=None,
     robot: world.RobotSpec | None = None,
     step_limit: int = world.DEFAULT_STEP_LIMIT,
@@ -152,7 +154,6 @@ def run_grid_eval(
     invalid and excluded from the means with a count report; starts that
     merely touch dolly legs run normally and fail on contact.
     """
-    config = config or GridEvalConfig()
     robot = robot or world.RobotSpec()
     n = config.positions_per_side
     n_or = len(config.orientations_deg)

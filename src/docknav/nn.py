@@ -73,14 +73,12 @@ class Tape:
 @dataclass
 class Gradients:
     """Result of :meth:`DenseNet.backward`: ``flat`` holds the parameter
-    gradients in the network's ``flat`` layout, ``weights`` and ``biases`` are
-    views into it. A field is ``None`` when the pass was told to skip it:
-    ``flat``, ``weights`` and ``biases`` with ``params=False``, ``wrt_input``
-    with ``wrt_input=False``."""
+    gradients in the network's ``flat`` layout (``DenseNet._views`` splits it
+    per layer), ``wrt_input`` the gradient of the input batch. A field is
+    ``None`` when the pass was told to skip it: ``flat`` with
+    ``params=False``, ``wrt_input`` with ``wrt_input=False``."""
 
     flat: np.ndarray | None
-    weights: list[np.ndarray] | None
-    biases: list[np.ndarray] | None
     wrt_input: np.ndarray | None
 
 
@@ -172,7 +170,7 @@ class DenseNet:
                 g.sum(axis=0, out=d_biases[l])
             if l or wrt_input:  # at layer 0 this product is the input gradient
                 g = g @ self.weights[l].T
-        return Gradients(d_flat, d_weights, d_biases, g if wrt_input else None)
+        return Gradients(d_flat, g if wrt_input else None)
 
     # -- parameter plumbing -------------------------------------------
 

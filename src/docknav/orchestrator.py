@@ -89,7 +89,7 @@ class Worker:
     def select_task(self) -> tuple[Candidate, str]:
         """The next episode's task, scored, and its task type."""
         t = self.trainer
-        if t.variant != "navacl_q":
+        if t.config.variant != "navacl_q":
             chosen = self._evaluate_task(self._sample_task())
             return chosen._replace(prediction=float("nan")), "random"
         pool = [self._sample_task() for _ in range(t.config.candidate_pool)]
@@ -102,7 +102,7 @@ class Worker:
 
     def rollout(self, chosen: Candidate):
         t = self.trainer
-        w = world.World(chosen.task.config, t.robot, t.dolly, t.step_limit, t.dtype,
+        w = world.World(chosen.task.config, t.robot, t.dolly, t.config.step_limit, t.dtype,
                         start_observation=chosen.observation)
         obs = [w.observation()]
         actions, rewards, terminals = [], [], []
@@ -140,9 +140,7 @@ class Trainer:
         self.seed = seed
         self.robot = robot or world.RobotSpec()
         self.dolly = dolly or world.DollySpec()
-        self.variant = config.variant
         self.task_bounds = config.to_task_bounds()
-        self.step_limit = config.step_limit
         self.dtype = np.dtype(config.dtype)
         self.obs_dim = world.observation_dim(self.robot)
         self.act_dim = ACT_DIM
@@ -214,7 +212,7 @@ class Trainer:
         self.episodes_received += 1
         self.transitions_received += episode.steps
         self.pending_updates += self.config.updates_per_episode
-        if self.variant == "navacl_q":
+        if self.config.variant == "navacl_q":
             self.result_set.append((episode.features, 1.0 if episode.success else 0.0))
             count = self.config.result_batch_size
             if len(self.result_set) >= count:  # one predictor step on the oldest results
@@ -388,7 +386,7 @@ def save_checkpoint(trainer: Trainer, path) -> None:
         "seed": trainer.seed,
         "obs_dim": trainer.obs_dim,
         "dtype": trainer.dtype.name,
-        "variant": trainer.variant,
+        "variant": trainer.config.variant,
         "robot": dataclasses.asdict(trainer.robot),
         "dolly": dataclasses.asdict(trainer.dolly),
         "actor_layers": list(learner.actor.net.layer_sizes),

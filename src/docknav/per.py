@@ -53,9 +53,6 @@ class SumTree:
     def max_leaf(self) -> float:
         return float(self.nodes[self.capacity - 1 :].max())
 
-    def leaf(self, index: int) -> float:
-        return float(self.nodes[self.capacity - 1 + index])
-
     def leaves(self) -> np.ndarray:
         return self.nodes[self.capacity - 1 :].copy()
 

@@ -5,7 +5,6 @@ distance histograms used to inspect what the curriculum proposes.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 

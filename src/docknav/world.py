@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,29 +114,6 @@ class WorldConfig:
     dolly_pose: Pose
     robot_start: Pose
     rng_seed: int = 0
-
-    def validate(self, dolly: DollySpec | None = None, randomization_bounds: bool = True) -> list[str]:
-        """Return violated invariants (empty list when valid).
-
-        ``randomization_bounds=False`` relaxes the training-randomization
-        distance rules; the grid-evaluation harness places starts closer to
-        the dolly than the sampler ever would.
-        """
-        dolly = dolly or DollySpec()
-        problems = []
-        for name, pose in (("robot_start", self.robot_start), ("dolly_pose", self.dolly_pose)):
-            if not (0 <= pose.x <= self.room_width and 0 <= pose.y <= self.room_length):
-                problems.append(f"{name} outside room bounds")
-        d = math.hypot(self.dolly_pose.x - self.robot_start.x, self.dolly_pose.y - self.robot_start.y)
-        if randomization_bounds:
-            if d < 1.5:
-                problems.append(f"robot-dolly distance {d:.3f} < 1.5")
-            for ob in self.obstacles:
-                ocx, ocy = 0.5 * (ob[0] + ob[2]), 0.5 * (ob[1] + ob[3])
-                od = math.hypot(ocx - self.dolly_pose.x, ocy - self.dolly_pose.y)
-                if not (2.0 <= od <= 5.0):
-                    problems.append(f"obstacle-dolly distance {od:.3f} outside [2, 5]")
-        return problems
 
 
 def compute_reward(flags: EventFlags, v: float) -> float:

@@ -264,7 +264,7 @@ def select_task_reference(worker):
     trainer = worker.trainer
 
     def evaluate(task):
-        w = world.World(task.config, trainer.robot, trainer.dolly, trainer.step_limit,
+        w = world.World(task.config, trainer.robot, trainer.dolly, trainer.config.step_limit,
                         trainer.dtype)
         obs = w.observation()
         action, _ = worker.actor.act(obs, mode="mean")

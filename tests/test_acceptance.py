@@ -18,7 +18,7 @@ from docknav.curriculum import (
     is_easy,
     is_frontier,
 )
-from docknav.grid_eval import GridEvalConfig, run_grid_eval
+from docknav.grid_eval import run_grid_eval
 from docknav.nn import DenseNet, net_grads_list
 from docknav.orchestrator import Trainer
 from docknav.per import PrioritizedReplay, SumTree
@@ -351,7 +351,7 @@ def test_criterion_8_curriculum_direction(tmp_path):
 
 
 def test_criterion_9_grid_harness(tmp_path):
-    cfg = GridEvalConfig()
+    cfg = RunConfig().to_grid_eval_config()
     straight = lambda obs: np.array([1.0, 0.0])  # noqa: E731
     out = tmp_path / "grid"
     result = run_grid_eval(straight, cfg, out_dir=out, dtype=np.float32)

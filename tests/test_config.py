@@ -89,6 +89,13 @@ def test_replay_capacity_power_of_two(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("angles", [(0.0, 0.0, 90.0), (0.0, 90.0, -0.0), (45.0, -45.0, 45.0)])
+def test_orientations_must_not_repeat(angles):
+    with pytest.raises(ConfigError, match="eval.orientations_deg must not repeat an angle"):
+        config.validate_config(RunConfig(orientations_deg=angles))
+    assert config.validate_config(RunConfig(orientations_deg=(0.0, 90.0, -90.0)))
+
+
 def test_echo_round_trip(tmp_path):
     src = tmp_path / "src.ini"
     src.write_text(

@@ -233,6 +233,15 @@ def test_predictor_rejects_non_finite_features():
         predictor.predict(bad)
     with pytest.raises(ValueError):
         predictor.train_batch(bad, np.ones(1))
+    # a feature row that is not a batch: rejected before any statistic or weight moves
+    row = np.array([1.0, 2.0, 0.5, 0.1, -0.3])
+    with pytest.raises(ValueError):
+        predictor.predict(row)
+    before = predictor.net.flat.copy()
+    with pytest.raises(ValueError, match="2-D"):
+        predictor.train_batch(row, np.ones(1))
+    assert predictor.stats.count == 0
+    assert predictor.net.flat.tobytes() == before.tobytes()
 
 
 def test_predictor_learns_separable_rule():
@@ -277,7 +286,7 @@ def test_initial_q_zero_critic():
     for W, b in zip(critic.weights, critic.biases):
         W[...] = 0.0
         b[...] = 0.0
-    assert initial_q_feature(critic, actor, np.ones(4)) == 0.0
+    assert initial_q_feature(critic, actor, np.ones((1, 4))).tolist() == [0.0]
 
 
 def test_initial_q_deterministic_and_matches_forward():
@@ -285,17 +294,19 @@ def test_initial_q_deterministic_and_matches_forward():
         rng = np.random.default_rng(14)
         actor = Actor(4, 2, (8,), rng, dtype=dtype)
         critic = DenseNet([6, 8, 1], ["relu", "identity"], rng=rng, dtype=dtype)
-        obs = rng.normal(size=4).astype(dtype)
+        obs = rng.normal(size=(1, 4)).astype(dtype)
         q_a = initial_q_feature(critic, actor, obs)
         q_b = initial_q_feature(critic, actor, obs)
-        assert type(q_a) is float
-        assert q_a == q_b
-        action, _ = actor.act(obs, mode="mean")
-        direct = critic.forward(np.concatenate([obs, action])[None, :])[0, 0]
-        assert abs(q_a - direct) < 1e-12
+        assert q_a.shape == (1,)
+        assert q_a.tobytes() == q_b.tobytes()
+        action, _ = actor.act(obs[0], mode="mean")
+        direct = critic.forward(np.concatenate([obs[0], action])[None, :])[0, 0]
+        assert abs(q_a[0] - direct) < 1e-12
         # a stack of observations: one value per row, each as the one-row call gives it
         stack = rng.normal(size=(7, 4)).astype(dtype)
         stacked = initial_q_feature(critic, actor, stack)
         assert stacked.shape == (7,)
-        single = np.array([initial_q_feature(critic, actor, row) for row in stack])
+        single = np.concatenate([initial_q_feature(critic, actor, row[None, :]) for row in stack])
         assert np.max(np.abs(stacked - single)) <= 1e-6
+        with pytest.raises(ValueError):  # one observation is a batch of one row
+            initial_q_feature(critic, actor, obs[0])

@@ -7,8 +7,9 @@ import pytest
 from scipy import stats as scipy_stats
 
 from docknav import reporting
+from docknav.config import RunConfig
 from docknav.grid_eval import GridEvalConfig, run_grid_eval
-from docknav.world import RobotSpec, World
+from docknav.world import RobotSpec
 
 TINY_ROBOT = RobotSpec(lidar_beams_per_sensor=8, semantic_rays=4)
 
@@ -23,7 +24,7 @@ def frozen_policy(obs):
 
 def small_grid(**overrides):
     base = dict(grid_extent=1.0, grid_cell=0.5, orientations_deg=(0.0, 90.0),
-                repeats=2)
+                repeats=2, grid_offset=1.0, room_side=14.0)
     base.update(overrides)
     return GridEvalConfig(**base)
 
@@ -32,7 +33,7 @@ def small_grid(**overrides):
 
 
 def test_total_episode_closed_form():
-    cfg = GridEvalConfig()
+    cfg = RunConfig().to_grid_eval_config()
     assert cfg.positions_per_side == 11
     assert cfg.total_episodes == 11 * 11 * 8 * 9 == 8712
     small = small_grid()
@@ -41,7 +42,7 @@ def test_total_episode_closed_form():
 
 
 def test_grid_geometry_conventions():
-    cfg = GridEvalConfig()
+    cfg = RunConfig().to_grid_eval_config()
     dolly = cfg.dolly_pose()
     nearest = cfg.start_pose(5, 10, 0.0)
     assert dolly.y - nearest.y == pytest.approx(cfg.grid_offset)
@@ -82,7 +83,8 @@ def test_invalid_cells_excluded_with_counts(tmp_path):
             d = self.dolly_pose()
             return ((d.x - 2.0, d.y - 3.0, d.x - 1.0, d.y - 2.0),)
 
-    cfg = BlockedGrid(grid_extent=2.0, grid_cell=0.5, orientations_deg=(0.0,), repeats=1)
+    cfg = BlockedGrid(grid_extent=2.0, grid_cell=0.5, orientations_deg=(0.0,), repeats=1,
+                      grid_offset=1.0, room_side=14.0)
     result = run_grid_eval(frozen_policy, cfg, out_dir=tmp_path / "blocked",
                            robot=TINY_ROBOT, step_limit=5)
     assert (~result.valid).sum() > 0

@@ -155,14 +155,14 @@ def test_stored_priority_formula():
     buf = PrioritizedReplay(4, RunConfig(), obs_dim=1)
     push_with_td_errors(buf, [1.0])
     expected = (1.0 + 1e-6) ** 0.6
-    assert buf.tree.leaf(0) == pytest.approx(expected, abs=1e-12)
+    assert buf.tree.leaves()[0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_new_transitions_get_max_priority():
     buf = PrioritizedReplay(8, obs_dim=1)
     push_with_td_errors(buf, [4.0, 0.1])
     buf.push_episode(make_episode(steps=2, obs_dim=1))
-    assert buf.tree.leaf(2) == buf.tree.leaf(3) == buf.tree.leaf(0)
+    assert buf.tree.leaves()[2] == buf.tree.leaves()[3] == buf.tree.leaves()[0]
 
 
 def test_uniform_priorities_give_unit_weights():
@@ -178,7 +178,7 @@ def test_importance_weights_formula():
     push_with_td_errors(buf, [1.0, 3.0])
     batch, idx, weights = buf.sample(2, b=0.5, rng=np.random.default_rng(3))
     total = buf.tree.total
-    probs = np.array([buf.tree.leaf(int(i)) for i in idx]) / total
+    probs = buf.tree.leaves()[idx] / total
     raw = (len(buf) * probs) ** (-0.5)
     assert np.allclose(weights, raw / raw.max())
 
@@ -202,13 +202,13 @@ def test_update_priorities_and_stale_index():
     before = buf.tree.total
     buf.update_priorities([0], [0.0])  # drops to the floor priority
     floor_p = (1e-6) ** 0.6
-    assert buf.tree.total == pytest.approx(before - buf.tree.leaf(1) + floor_p)
-    assert buf.tree.leaf(0) == pytest.approx(floor_p)
+    assert buf.tree.total == pytest.approx(before - buf.tree.leaves()[1] + floor_p)
+    assert buf.tree.leaves()[0] == pytest.approx(floor_p)
     # overwrite slot 0 (FIFO cursor wrapped), then a stale update to index 0
     # applies to the new occupant
     assert push_with_td_errors(buf, [2.0]).tolist() == [0]
     buf.update_priorities([0], [5.0])
-    assert buf.tree.leaf(0) == pytest.approx((5.0 + 1e-6) ** 0.6)
+    assert buf.tree.leaves()[0] == pytest.approx((5.0 + 1e-6) ** 0.6)
 
 
 def test_equal_errors_restore_uniform_sampling():

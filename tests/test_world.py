@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from docknav import geometry
-from docknav.config import parse_config
-from docknav.grid_eval import GridEvalConfig
+from docknav.config import RunConfig, parse_config
 from docknav.world import (
     HISTORY_LEN,
     START_SCAN_CHUNK,
@@ -38,7 +37,6 @@ from _oracles import (
     check_collisions_reference,
     euler_unicycle,
     lidar_ray_geometry,
-    raycast_oracle,
     raycast_oracle_many,
     ray_fan_reference,
     scene_primitives,
@@ -289,7 +287,7 @@ def source_scenes(source):
     """Scenes to pose robots in: 30 tasks drawn from a config's bounds, or
     the grid-evaluation room."""
     if source == "grid":
-        return [GridEvalConfig().world_config(0, 0, 0.0)]
+        return [RunConfig().to_grid_eval_config().world_config(0, 0, 0.0)]
     return [task.config for task in config_tasks(source, 30, seed=31)]
 
 
@@ -524,7 +522,8 @@ def test_sample_task_respects_bounds():
         rel = geometry.wrap_angle(bearing - cfg.robot_start.yaw)
         assert abs(rel) <= math.pi / 2 + 1e-12
         assert abs(rel - task.relative_angle) < 1e-12
-        assert not task.config.validate()
+        for pose in (cfg.robot_start, cfg.dolly_pose):
+            assert 0 <= pose.x <= cfg.room_width and 0 <= pose.y <= cfg.room_length
         assert 1 <= len(cfg.obstacles) <= 4
         for ob in cfg.obstacles:
             d = math.hypot(0.5 * (ob[0] + ob[2]) - cfg.dolly_pose.x,
@@ -603,19 +602,7 @@ def test_clearance_empty_scene_uses_walls():
     assert clearance(2.0, 5.0, cfg) == pytest.approx(2.0)
 
 
-# -- config validation and trajectory export --------------------------------
-
-
-def test_world_config_validation():
-    cfg = WorldConfig(room_width=10, room_length=10, obstacles=((0, 0, 1, 1),),
-                      dolly_pose=Pose(5, 8, 0), robot_start=Pose(5, 7.5, 0))
-    problems = cfg.validate()
-    assert any("robot-dolly" in p for p in problems)
-    assert any("obstacle-dolly" in p for p in problems)
-    assert not cfg.validate(randomization_bounds=False)
-    outside = WorldConfig(room_width=10, room_length=10, obstacles=(),
-                          dolly_pose=Pose(5, 8, 0), robot_start=Pose(-1, 5, 0))
-    assert any("outside room" in p for p in outside.validate())
+# -- trajectory export ------------------------------------------------------
 
 
 def test_trajectory_export_roundtrip(tmp_path):
