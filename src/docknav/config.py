@@ -22,7 +22,7 @@ import configparser
 import math
 from dataclasses import dataclass, fields
 
-from .grid_eval import GridEvalConfig
+from .grid_eval import GridEvalConfig, orientation_name
 from .world import TaskBounds
 
 
@@ -239,9 +239,10 @@ def _validate(cfg: RunConfig) -> list[str]:
         check(math.isfinite(ratio) and abs(ratio - round(ratio)) < 1e-9,
               "eval.grid_extent must be an integer multiple of eval.grid_cell")
     check(len(cfg.orientations_deg) >= 1, "eval.orientations_deg must list at least one angle")
-    # a set holds 0.0 and -0.0 once, as orientations_deg.index conflates them
-    check(len(set(cfg.orientations_deg)) == len(cfg.orientations_deg),
-          "eval.orientations_deg must not repeat an angle")
+    angles = set(cfg.orientations_deg)  # 0.0 and -0.0 count once, as list.index has them
+    check(len(angles) == len(cfg.orientations_deg), "eval.orientations_deg must not repeat an angle")
+    check(len(set(map(orientation_name, angles))) == len(angles),
+          "eval.orientations_deg must not hold two angles that round to the same whole degree")
     check(cfg.repeats >= 1, "eval.repeats must be >= 1")
     check(cfg.grid_offset > 0, "eval.grid_offset must be positive")
     check(cfg.eval_room_side > 0, "eval.eval_room_side must be positive")

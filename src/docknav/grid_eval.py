@@ -23,6 +23,11 @@ CELL_FIELDS = ["ix", "iy", "x", "y", "orientation_deg", "episodes", "successes",
 SUMMARY_FIELDS = ["row", "orientation_deg", "success_rate", "valid_cells", "invalid_cells"]
 
 
+def orientation_name(orientation_deg: float) -> str:
+    """An angle's part of its heatmap and trajectory file names."""
+    return f"{orientation_deg:+.0f}"
+
+
 @dataclass(frozen=True)
 class GridEvalConfig:
     """The evaluation grid, built from a run's ``[eval]`` section by
@@ -185,7 +190,7 @@ def run_grid_eval(
                     if flags.goal:
                         successes[io, iy, ix] += 1
                 if record:
-                    w.save_trajectory(out_dir / f"traj_o{odeg:+.0f}_x{ix}_y{iy}.jsonl")
+                    w.save_trajectory(out_dir / f"traj_o{orientation_name(odeg)}_x{ix}_y{iy}.jsonl")
                     traj_saved += 1
 
     result = GridEvalResult(config, successes, episodes, valid, executed)
@@ -231,5 +236,5 @@ def _write_outputs(result: GridEvalResult, out_dir: Path) -> None:
     for io, odeg in enumerate(cfg.orientations_deg):
         values = [[rate if ok else None for rate, ok in zip(rate_row, valid_row)]
                   for rate_row, valid_row in zip(rates[io], result.valid[io].tolist())]
-        svg.write_heatmap(out_dir / f"heatmap_{odeg:+.0f}.svg", values,
+        svg.write_heatmap(out_dir / f"heatmap_{orientation_name(odeg)}.svg", values,
                           f"success rate, start orientation {odeg:+.0f} deg")

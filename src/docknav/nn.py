@@ -24,7 +24,7 @@ import numpy as np
 ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
 
 CHECKPOINT_MAGIC = b"DNCK"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 class GradientError(RuntimeError):
@@ -236,28 +236,25 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 
 # -- checkpoint container ------------------------------------------------
 #
-# Layout (format version 5): magic, little-endian uint32 header length, JSON
-# header (format version, user metadata and, per array, its name, dtype and
-# shape), each array's raw little-endian bytes in its own dtype in header
-# order, then a 32-byte digest: the SHA-256 of the concatenated SHA-256
-# digests of consecutive 4 MiB chunks of everything before it (the last
-# chunk may be shorter). The chunks of a larger file are hashed on the standard
+# Layout (format version 6): a preamble of the magic and two little-endian
+# uint32s, the format version and the header length; the JSON header (user
+# metadata and, per array, its name, dtype and shape); each array's raw
+# little-endian bytes in its own dtype in header order; then a 32-byte
+# digest: the SHA-256 of the concatenated SHA-256 digests of consecutive
+# 4 MiB chunks of everything before it (the last may be shorter). Another
+# version is rejected before anything is hashed (files of versions 1 to 5
+# hold their header length there). Chunks are hashed on the standard
 # library's thread pool, one thread per usable CPU, each reading through its
 # own buffer; a file of one chunk is hashed in the calling thread. On 2 cores
-# the 73 MB checkpoint of a trainer with a full 2^15 replay saves in 0.04 s
-# and restores, verified, in 0.07 s. Arrays are streamed to and from the
-# file: neither side builds the whole payload in memory, and a reader that
-# already holds an array of the right dtype and shape has the bytes read
-# straight into it, so restoring a state costs no second copy of it. Version
-# 5 has version 4's layout and digest; it marks the replay that stores each
-# observation once, and a version 4 file (142 MB at 2^15) is rejected by its
-# version. Versions 1 to 3 ended in the plain SHA-256 of the same bytes; they
-# are recognised by it only to be rejected by their version.
+# a 73 MB checkpoint (a full 2^15 replay) saves in 0.04 s and restores,
+# verified, in 0.07 s. Arrays are streamed to and from the file, and a reader
+# that already holds an array of the right dtype and shape has its bytes
+# read straight into it, so a restore costs no second copy of the state.
 
 _DIGEST_SIZE = 32
 _HASH_CHUNK = 4 << 20  # bytes per separately hashed chunk
 _READ_CHUNK = 256 << 10  # the read buffer of one hashing thread; 1 MiB ones raised peak RSS
-_PREAMBLE = len(CHECKPOINT_MAGIC) + 4
+_PREAMBLE = len(CHECKPOINT_MAGIC) + 8  # magic, version, header length
 
 
 def _checked_dtype(dtype) -> np.dtype:
@@ -335,8 +332,9 @@ def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         data = np.asarray(arr, dtype=dtype, order="C")
         entries.append({"name": name, "dtype": dtype.str, "shape": list(data.shape)})
         datas.append(data)
-    header = json.dumps({"version": CHECKPOINT_VERSION, "meta": meta, "arrays": entries}).encode()
-    pieces = [CHECKPOINT_MAGIC, len(header).to_bytes(4, "little"), header, *map(_byte_view, datas)]
+    header = json.dumps({"meta": meta, "arrays": entries}).encode()
+    pieces = [CHECKPOINT_MAGIC, CHECKPOINT_VERSION.to_bytes(4, "little"),
+              len(header).to_bytes(4, "little"), header, *map(_byte_view, datas)]
     chunks = _split_chunks(pieces)
     tmp = f"{path}.tmp"
     try:
@@ -370,26 +368,20 @@ def _hash_range(fd: int, start: int, stop: int, buf: memoryview, path) -> bytes:
     return digest.digest()
 
 
-def _verify_digest(fh, size: int, path) -> None:
+def _verify_digest(fd: int, size: int, path) -> None:
     """Check the digest of a file of ``size`` bytes; each hashing thread reads
     its own chunks through one buffer of at most ``_READ_CHUNK`` bytes."""
-    fd = fh.fileno()
     end = size - _DIGEST_SIZE
-    buf_size = min(_READ_CHUNK, end)
     digest = _container_digest(
         -(-end // _HASH_CHUNK),
         lambda i, buf: _hash_range(fd, i * _HASH_CHUNK, min(end, (i + 1) * _HASH_CHUNK), buf, path),
-        buf_size=buf_size)
-    stored = os.pread(fd, _DIGEST_SIZE, end)
-    if digest != stored:
-        if _hash_range(fd, 0, end, memoryview(bytearray(buf_size)), path) == stored:
-            _read_header(fh, size, path)  # an intact file of versions 1 to 3 fails here
+        buf_size=min(_READ_CHUNK, end))
+    if digest != os.pread(fd, _DIGEST_SIZE, end):
         raise CheckpointError(f"{path}: checksum mismatch")
 
 
 def _read_header(fh, size: int, path) -> tuple[dict, int]:
-    """The JSON header of a current-version file and its length in bytes."""
-    fh.seek(len(CHECKPOINT_MAGIC))
+    """The JSON header that follows the preamble, and its length in bytes."""
     hlen = int.from_bytes(fh.read(4), "little")
     if hlen > size - _PREAMBLE - _DIGEST_SIZE:
         raise CheckpointError(f"{path}: header length {hlen} exceeds the file")
@@ -397,9 +389,8 @@ def _read_header(fh, size: int, path) -> tuple[dict, int]:
         header = json.loads(fh.read(hlen).decode())
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise CheckpointError(f"{path}: unreadable checkpoint header") from exc
-    version = header.get("version") if isinstance(header, dict) else None
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: malformed checkpoint header: not an object")
     return header, hlen
 
 
@@ -443,8 +434,9 @@ def _check_destinations(entries, destinations: dict[str, np.ndarray], path) -> N
 def read_checkpoint(path, prefix: str = "", into=None) -> tuple[dict, dict[str, np.ndarray]]:
     """Metadata and the arrays whose names start with ``prefix``.
 
-    The digest is checked over the whole file, then the header is parsed and
-    its sizes checked. Only then is ``into(meta)``, when given, asked for
+    A file of another format version is rejected before anything is hashed.
+    Then the digest is checked over the whole file, and the header is parsed
+    and its sizes checked. Only then is ``into(meta)``, when given, asked for
     destinations ``{name: array}``: each must match its array's dtype and
     shape exactly and be C-contiguous, or :class:`CheckpointError` names it
     before any array is read. A destination gets its array's bytes read
@@ -455,7 +447,10 @@ def read_checkpoint(path, prefix: str = "", into=None) -> tuple[dict, dict[str, 
         size = os.fstat(fh.fileno()).st_size
         if size < _PREAMBLE + _DIGEST_SIZE or fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        _verify_digest(fh, size, path)
+        version = int.from_bytes(fh.read(4), "little")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        _verify_digest(fh.fileno(), size, path)
         header, hlen = _read_header(fh, size, path)
         entries = _parse_entries(header.get("arrays"), size - _PREAMBLE - hlen - _DIGEST_SIZE, path)
         meta = header.get("meta")

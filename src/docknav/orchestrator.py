@@ -62,8 +62,6 @@ class Worker:
         self.actor = trainer.learner.actor
         self.q1 = trainer.learner.critics.q1
         self.fpi = trainer.fpi
-        # skip one draw per actor and predictor parameter, as before: keeps every run's bits
-        self.rng.bit_generator.advance(self.actor.net.flat.size + self.fpi.net.flat.size)
 
     def _sample_task(self) -> world.Task:
         return world.sample_task(self.rng, self.trainer.task_bounds,
@@ -106,15 +104,16 @@ class Worker:
                         start_observation=chosen.observation)
         obs = [w.observation()]
         actions, rewards, terminals = [], [], []
-        flags = None
         while not w.terminal:
             a, _ = self.actor.act(obs[-1], rng=self.rng, mode="sample")
             out = w.step(a)
             obs.append(out.observation)
             actions.append(a)
             rewards.append(out.reward)
-            terminals.append(out.terminal)
             flags = out.flags
+            # a time limit is not a state of the task, so its end still
+            # bootstraps (Pardo et al. 2018); only goal and collisions stop it
+            terminals.append(flags.goal or flags.collision_dolly or flags.collision_other)
         return (np.stack(obs), np.stack(actions), np.asarray(rewards),
                 np.asarray(terminals, dtype=bool), bool(flags.goal))
 

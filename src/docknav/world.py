@@ -113,7 +113,6 @@ class WorldConfig:
     obstacles: tuple[tuple[float, float, float, float], ...]  # (xmin, ymin, xmax, ymax)
     dolly_pose: Pose
     robot_start: Pose
-    rng_seed: int = 0
 
 
 def compute_reward(flags: EventFlags, v: float) -> float:
@@ -572,7 +571,6 @@ def sample_task(
             obstacles=tuple(obstacles),
             dolly_pose=dolly_pose,
             robot_start=robot_pose,
-            rng_seed=int(rng.integers(0, 2**63 - 1)),
         )
         robot_corners = geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width)
         dolly_corners = geometry.rect_corners(

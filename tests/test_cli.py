@@ -82,7 +82,8 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
                       ("[eval]\ngrid_extent = inf\n", "grid_extent"),
                       ("[eval]\ngrid_extent = nan\n", "grid_extent"),
                       ("[sac]\ntarget_entropy = nan\n", "target_entropy"),
-                      ("[run]\nvariant = 50%\n", "variant")):
+                      ("[run]\nvariant = 50%\n", "variant"),
+                      ("[eval]\norientations_deg = 0.0, 0.4\n", "round to the same whole degree")):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])

@@ -314,11 +314,12 @@ def test_checkpoint_prefix_reads_only_matching_arrays(tmp_path):
         read_checkpoint(path, prefix="actor.")
 
 
-CHUNK = 4 << 20  # bytes per separately hashed chunk of the digest (versions 4 and 5)
+CHUNK = 4 << 20  # bytes per separately hashed chunk of the digest (versions 4 to 6)
+PREAMBLE = len(CHECKPOINT_MAGIC) + 8  # magic, format version, header length
 
 
 def _chunked_digest(body: bytes) -> bytes:
-    """The chunked digest of versions 4 and 5, computed independently of the
+    """The chunked digest of versions 4 to 6, computed independently of the
     reader and writer."""
     return hashlib.sha256(b"".join(hashlib.sha256(body[i : i + CHUNK]).digest()
                                    for i in range(0, len(body), CHUNK))).digest()
@@ -326,7 +327,8 @@ def _chunked_digest(body: bytes) -> bytes:
 
 def _body(header: dict, payload: bytes) -> bytes:
     text = json.dumps(header).encode()
-    return CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + payload
+    return (CHECKPOINT_MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little")
+            + len(text).to_bytes(4, "little") + text + payload)
 
 
 def _container(header: dict, payload: bytes) -> bytes:
@@ -335,20 +337,32 @@ def _container(header: dict, payload: bytes) -> bytes:
     return body + _chunked_digest(body)
 
 
-def _legacy_container(header: dict, payload: bytes) -> bytes:
-    """A hand-built file of versions 1 to 3, which ended in the plain SHA-256."""
-    body = _body(header, payload)
-    return body + hashlib.sha256(body).digest()
+def _old_container(version: int, payload: bytes) -> bytes:
+    """A hand-built file of versions 1 to 5: the header length follows the
+    magic, and the version is a header key. Versions 1 to 3 ended in the plain
+    SHA-256 of the bytes before it, 4 and 5 in today's chunked digest."""
+    text = json.dumps({"version": version, "meta": {},
+                       "arrays": [{"name": "a", "dtype": "<f8", "shape": [3]}]}).encode()
+    body = CHECKPOINT_MAGIC + len(text).to_bytes(4, "little") + text + payload
+    return body + (_chunked_digest(body) if version >= 4 else hashlib.sha256(body).digest())
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
-def test_checkpoint_old_version_rejected(tmp_path, version):
-    # version 4 had today's digest; its replay stored every observation twice
+def _refuse_hashing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the file was hashed")
+
+    monkeypatch.setattr("docknav.nn._container_digest", refuse)
+
+
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+def test_checkpoint_old_version_rejected(tmp_path, monkeypatch, version):
+    # version 5 had today's digest and header; its version was a header key
     path = tmp_path / f"v{version}.ckpt"
-    header = {"version": version, "meta": {}, "arrays": [{"name": "a", "shape": [3]}]}
-    container = _container if version == 4 else _legacy_container
-    path.write_bytes(container(header, np.arange(3, dtype="<f8").tobytes()))
-    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+    blob = _old_container(version, np.arange(3, dtype="<f8").tobytes())
+    path.write_bytes(blob)
+    _refuse_hashing(monkeypatch)
+    hlen = int.from_bytes(blob[4:8], "little")  # what the version bytes of v6 hold here
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {hlen}$"):
         read_checkpoint(path)
 
 
@@ -356,7 +370,7 @@ def test_checkpoint_old_version_rejected(tmp_path, version):
 def test_checkpoint_non_numeric_dtype_rejected(tmp_path, dtype):
     path = tmp_path / "dtype.ckpt"
     entry = {"name": "a", "dtype": dtype, "shape": [2]}
-    path.write_bytes(_container({"version": CHECKPOINT_VERSION, "meta": {}, "arrays": [entry]},
+    path.write_bytes(_container({"meta": {}, "arrays": [entry]},
                                 bytes(2 * np.dtype(dtype).itemsize)))
     with pytest.raises(CheckpointError, match="unsupported checkpoint dtype"):
         read_checkpoint(path)
@@ -371,7 +385,7 @@ def test_checkpoint_non_numeric_dtype_rejected(tmp_path, dtype):
 ])
 def test_checkpoint_header_inconsistent_with_payload_rejected_before_allocation(tmp_path, arrays):
     path = tmp_path / "sizes.ckpt"
-    path.write_bytes(_container({"version": CHECKPOINT_VERSION, "meta": {}, "arrays": arrays},
+    path.write_bytes(_container({"meta": {}, "arrays": arrays},
                                 bytes(8)))
     tracemalloc.start()
     try:
@@ -381,6 +395,13 @@ def test_checkpoint_header_inconsistent_with_payload_rejected_before_allocation(
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+def test_checkpoint_header_not_an_object_rejected(tmp_path):
+    path = tmp_path / "list.ckpt"
+    path.write_bytes(_container([], b""))
+    with pytest.raises(CheckpointError, match="malformed checkpoint header"):
+        read_checkpoint(path)
 
 
 def test_checkpoint_write_of_object_array_raises_and_leaves_no_file(tmp_path):
@@ -447,7 +468,7 @@ def test_checkpoint_rejects_mismatched_destination(tmp_path, destination, proble
         read_checkpoint(path, into=lambda meta: {"z": np.zeros(2)})
 
 
-# -- version 4 digest: 4 MiB chunks hashed on a pool of threads -------------------
+# -- the digest: 4 MiB chunks hashed on a pool of threads ------------------------
 
 
 def _roundtrip_and_digest(path, meta, arrays):
@@ -467,8 +488,9 @@ def _roundtrip_and_digest(path, meta, arrays):
 def test_checkpoint_payload_ending_at_a_chunk_boundary(tmp_path, offset):
     path = tmp_path / "edge.ckpt"
     write_checkpoint(path, {}, {"a": np.zeros(2 * CHUNK, dtype=np.uint8)})
-    hlen = int.from_bytes(path.read_bytes()[4:8], "little")  # same digit count below
-    data = np.random.default_rng(13).integers(0, 256, 2 * CHUNK - 8 - hlen + offset, np.uint8)
+    hlen = int.from_bytes(path.read_bytes()[8:12], "little")  # same digit count below
+    data = np.random.default_rng(13).integers(0, 256, 2 * CHUNK - PREAMBLE - hlen + offset,
+                                              np.uint8)
     blob = _roundtrip_and_digest(path, {}, {"a": data})
     assert len(blob) - 32 == 2 * CHUNK + offset
 
@@ -477,7 +499,7 @@ def test_checkpoint_header_crossing_a_chunk_boundary(tmp_path):
     meta = {"note": "x" * (CHUNK + 100)}
     arrays = {"a": np.arange(5.0), "b": np.arange(3, dtype=np.int32)}
     blob = _roundtrip_and_digest(tmp_path / "long_header.ckpt", meta, arrays)
-    assert int.from_bytes(blob[4:8], "little") > CHUNK
+    assert int.from_bytes(blob[8:12], "little") > CHUNK
 
 
 def test_checkpoint_empty_payload(tmp_path):
@@ -492,17 +514,20 @@ def _three_chunk_file(path) -> bytes:
 
 
 @pytest.mark.parametrize("where", ["first", "middle", "last", "version"])
-def test_checkpoint_flip_in_any_chunk_fails_before_parsing(tmp_path, where):
+def test_checkpoint_flip_in_any_chunk_fails_before_parsing(tmp_path, monkeypatch, where):
     path = tmp_path / "flip.ckpt"
     blob = bytearray(_three_chunk_file(path))
     assert -(-(len(blob) - 32) // CHUNK) == 3
     at = {"first": CHUNK // 2, "middle": CHUNK + CHUNK // 2, "last": len(blob) - 33,
-          "version": blob.index(f'"version": {CHECKPOINT_VERSION}'.encode())
-          + len(b'"version": ')}[where]
-    blob[at] ^= 0x01  # the version flip turns it into another digit
+          "version": len(CHECKPOINT_MAGIC)}[where]
+    blob[at] ^= 0x01
     path.write_bytes(bytes(blob))
+    problem = "checksum mismatch"
+    if where == "version":  # rejected from the preamble, before any hashing
+        _refuse_hashing(monkeypatch)
+        problem = f"unsupported checkpoint version {CHECKPOINT_VERSION ^ 1}$"
     seen = []
-    with pytest.raises(CheckpointError, match="checksum mismatch"):
+    with pytest.raises(CheckpointError, match=problem):
         read_checkpoint(path, into=lambda meta: seen.append(meta) or {})
     assert seen == []
 

@@ -81,6 +81,47 @@ def test_single_worker_episode_reproducible():
     assert a.task_type == b.task_type
 
 
+def test_worker_stream_is_seed_plus_worker_id():
+    # a draw skipped or added before the first task would move every task
+    trainer = make_trainer()
+    for i in range(3):
+        want = world.sample_task(np.random.default_rng(trainer.seed + i), trainer.task_bounds,
+                                 trainer.robot, trainer.dolly)
+        assert Worker(i, trainer.seed, trainer)._sample_task() == want
+
+
+class FixedCommand:
+    """An actor stand-in that sends the same velocity command every step."""
+
+    def __init__(self, action):
+        self.action = np.asarray(action, dtype=float)
+
+    def act(self, obs, rng=None, mode="sample"):
+        return self.action, 0.0
+
+
+@pytest.mark.parametrize("action, step_limit", [((0.0, 0.0), 3), ((1.0, 0.0), 500)],
+                         ids=["time_limit", "goal_or_collision"])
+def test_only_goal_and_collision_ends_are_terminal(action, step_limit):
+    trainer = make_trainer(step_limit=step_limit)
+    worker = Worker(0, trainer.seed, trainer)
+    chosen = worker._evaluate_task(worker._sample_task())
+    worker.actor = FixedCommand(action)
+    observations, actions, rewards, terminals, success = worker.rollout(chosen)
+    trainer._ingest_episode(Episode(
+        worker_id=0, task_type="random", features=chosen.features,
+        fpi_prediction=chosen.prediction, observations=observations, actions=actions,
+        rewards=rewards, terminals=terminals, success=success, snapshot_version=0))
+    n = len(trainer.replay)
+    assert n == len(actions)
+    assert trainer.replay.ends[:n].tolist() == [False] * (n - 1) + [True]
+    stored = trainer.replay.terminals[:n].tolist()
+    if step_limit == 3:  # stopped by the time limit, which still bootstraps
+        assert n == step_limit and stored == [False] * n
+    else:  # driving straight ahead ends on the dolly, its leg or a wall
+        assert n < step_limit and stored == [False] * (n - 1) + [True]
+
+
 def test_sync_alternation_counters():
     trainer = make_trainer(episode_budget=8, updates_per_episode=3, batch_size=8)
     trainer.train()
