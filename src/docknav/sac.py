@@ -42,7 +42,8 @@ class Actor:
             out, rec = self.net.forward(obs), None
         mu = out[:, : self.act_dim]
         raw = out[:, self.act_dim :]
-        log_std = np.clip(raw, self.log_std_min, self.log_std_max)
+        # np.clip's values without its Python wrappers
+        log_std = np.minimum(np.maximum(raw, self.log_std_min), self.log_std_max)
         gate = None
         if tape:
             gate = ((raw > self.log_std_min) & (raw < self.log_std_max)).astype(out.dtype)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,19 +91,19 @@ class DollySpec:
             raise ValueError("dolly must be wider than the robot for docking to be possible")
 
 
-@dataclass(frozen=True)
-class EventFlags:
+class EventFlags(NamedTuple):
     goal: bool = False
     collision_dolly: bool = False
     collision_other: bool = False
     slow: bool = False
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
+    """One step's result. Whether the episode has ended, by an event or by
+    the step limit, is :attr:`World.terminal`."""
+
     observation: np.ndarray
     reward: float
-    terminal: bool
     flags: EventFlags
 
 
@@ -224,23 +225,34 @@ class _RayFan:
         """(points, dx, dy) for :func:`geometry.cast_rays` with ``counts``:
         the ray origins (len(poses), 3, 2), front LiDAR, rear LiDAR and centre,
         and the unit directions' components, each (len(poses), rays)."""
-        yaw = np.array([p.yaw for p in poses])
-        position = np.array([[p.x, p.y] for p in poses])
-        rot = np.array([[[math.cos(p.yaw), -math.sin(p.yaw)], [math.sin(p.yaw), math.cos(p.yaw)]]
-                        for p in poses])
-        sensors = self._sensor_local @ rot.transpose(0, 2, 1) + position[:, None, :]
-        headings = np.stack([yaw + self._sensor_diag, yaw + math.pi + self._sensor_diag, yaw], axis=1)
-        angles = np.repeat(headings, self.counts, axis=1) + self._offsets
-        points = np.concatenate([sensors, position[:, None, :]], axis=1)
+        # per pose: position, rotation matrix, then the three origins' headings
+        pose = np.array([(p.x, p.y, math.cos(p.yaw), -math.sin(p.yaw), math.sin(p.yaw),
+                          math.cos(p.yaw), p.yaw + self._sensor_diag,
+                          p.yaw + math.pi + self._sensor_diag, p.yaw) for p in poses])
+        position = pose[:, None, 0:2]
+        rot = pose[:, 2:6].reshape(-1, 2, 2)
+        points = np.empty((len(pose), 3, 2))
+        np.add(self._sensor_local @ rot.transpose(0, 2, 1), position, out=points[:, :2])
+        points[:, 2:] = position
+        angles = pose[:, 6:].repeat(self.counts, axis=1) + self._offsets
         return points, np.cos(angles), np.sin(angles)
 
+    def decode(self, dist: np.ndarray, is_leg: np.ndarray, lidar: np.ndarray,
+               frame: np.ndarray) -> None:
+        """Write a cast of :meth:`rays` (any leading batch axes) into ``lidar``,
+        the LiDAR depths in [0, 1], and ``frame`` (..., rays, 2), the semantic
+        rays' (depth in [0, 1], dolly flag); both are cast to their dtype."""
+        np.divide(dist[..., self.lidar], self.max_range, out=lidar)
+        np.divide(dist[..., self.semantic], self.max_range, out=frame[..., 0])
+        frame[..., 1] = is_leg[..., self.semantic]
+
     def split(self, dist: np.ndarray, is_leg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A cast of :meth:`rays` (any leading batch axes) as (lidar, frame):
-        the LiDAR depths in [0, 1], and the semantic rays as (..., rays, 2) of
-        (depth in [0, 1], dolly flag)."""
-        frame = np.stack([dist[..., self.semantic] / self.max_range,
-                          is_leg[..., self.semantic].astype(float)], axis=-1)
-        return dist[..., self.lidar] / self.max_range, frame
+        """A cast of :meth:`rays` (any leading batch axes) as float64
+        (lidar, frame), see :meth:`decode`."""
+        lidar = np.empty_like(dist[..., self.lidar])
+        frame = np.empty(dist[..., self.semantic].shape + (2,))
+        self.decode(dist, is_leg, lidar, frame)
+        return lidar, frame
 
 
 START_SCAN_CHUNK = 16  # tasks per batched cast: bounds its rays x segments temporaries
@@ -325,7 +337,17 @@ class World:
         self._reach = _collision_reach(self.robot, self.dolly)
         self._obstacles = _ObstacleBoxes(self.config.obstacles, self._reach)
         self._fan = _RayFan(self.robot)
-        self._slices = observation_slices(self.robot)
+        # each step, every history block drops its oldest entry: (to, from)
+        sl = observation_slices(self.robot)
+        sem, act, rew = sl["semantic"], sl["actions"], sl["rewards"]
+        frame = 2 * self.robot.semantic_rays
+        self._history_shift = [(slice(sem.start, sem.stop - frame), slice(sem.start + frame, sem.stop)),
+                               (slice(act.start, act.stop - 2), slice(act.start + 2, act.stop)),
+                               (slice(rew.start, rew.stop - 1), slice(rew.start + 1, rew.stop))]
+        self._lidar = sl["lidar"]
+        self._newest_frame = slice(sem.stop - frame, sem.stop)
+        self._newest_action = act.stop - 2
+        self._newest_reward = rew.stop - 1
 
     # -- episode lifecycle --------------------------------------------
 
@@ -360,17 +382,18 @@ class World:
         reward = compute_reward(flags, v)
         self.terminal = goal or collision_dolly or collision_other or self.t >= self.step_limit
 
-        lidar, frame = self._scan()
-        # drop each history block's oldest entry, append this step's; values
-        # already cast to dtype come back unchanged through float64
-        prev, sl = self._obs, self._slices
-        self._obs = np.concatenate([
-            prev[sl["semantic"]][frame.size:], frame.ravel(), lidar,
-            prev[sl["actions"]][2:], (v, omega), prev[sl["rewards"]][1:], (reward,),
-        ]).astype(self.dtype, copy=False)
+        # a new array: callers keep the observations of earlier steps
+        prev, obs = self._obs, np.empty_like(self._obs)
+        for to, source in self._history_shift:
+            obs[to] = prev[source]
+        self._fan.decode(*self._cast(), obs[self._lidar], obs[self._newest_frame].reshape(-1, 2))
+        obs[self._newest_action] = v
+        obs[self._newest_action + 1] = omega
+        obs[self._newest_reward] = reward
+        self._obs = obs
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(v, omega, reward, flags))
-        return StepOutcome(self._obs, reward, self.terminal, flags)
+        return StepOutcome(obs, reward, flags)
 
     def _goal_reached(self) -> bool:
         d = math.hypot(self.pose.x - self.config.dolly_pose.x, self.pose.y - self.config.dolly_pose.y)
@@ -403,20 +426,20 @@ class World:
 
     # -- sensing -------------------------------------------------------
 
-    def _scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both LiDARs and the semantic fan in one cast: (lidar, frame)."""
+    def _cast(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both LiDARs and the semantic fan at the current pose in one cast:
+        (distances, dolly hit) of every ray, for :meth:`_RayFan.decode`."""
         points, dx, dy = self._fan.rays([self.pose])
-        return self._fan.split(*geometry.cast_rays(
-            points[0], self._fan.counts, dx[0], dy[0], self._segments, self._leg_centers,
-            self._leg_radii, self.robot.lidar_max_range))
+        return geometry.cast_rays(points[0], self._fan.counts, dx[0], dy[0], self._segments,
+                                  self._leg_centers, self._leg_radii, self.robot.lidar_max_range)
 
     def lidar_scan(self) -> np.ndarray:
         """Both 128-beam sensors concatenated (front corner first), in [0, 1]."""
-        return self._scan()[0]
+        return self._fan.split(*self._cast())[0]
 
     def semantic_scan(self) -> np.ndarray:
         """Frontal rays over the camera FOV: (rays, 2) of (depth in [0,1], dolly flag)."""
-        return self._scan()[1]
+        return self._fan.split(*self._cast())[1]
 
     def observation(self) -> np.ndarray:
         """Current flat observation; the t=0 one is read-only."""

@@ -208,6 +208,46 @@ def check_collisions_reference(world):
     return collision_dolly, collision_other
 
 
+def step_reference(world, action):
+    """One ``World.step`` from ``world``'s current state as the step was built
+    from one scan, frozen: the per-ray fan and cast above, a float64
+    (lidar, frame) split of the cast, then one concatenate of the shifted
+    history blocks cast to the world's dtype. Collisions come from the
+    exhaustive check above. Returns (observation, reward, flags, terminal)
+    and leaves ``world`` unchanged."""
+    from types import SimpleNamespace
+
+    from docknav.world import (GOAL_DISTANCE, SLOW_SPEED, EventFlags, compute_reward,
+                               integrate_unicycle, observation_slices)
+
+    v = min(max(float(action[0]), -1.0), 1.0)
+    omega = min(max(float(action[1]), -1.0), 1.0)
+    pose = integrate_unicycle(world.pose, v, omega)
+    dolly = world.config.dolly_pose
+    goal = math.hypot(pose.x - dolly.x, pose.y - dolly.y) < GOAL_DISTANCE
+    collision_dolly = collision_other = False
+    if not goal:
+        collision_dolly, collision_other = check_collisions_reference(SimpleNamespace(
+            pose=pose, robot=world.robot, config=world.config, dolly=world.dolly))
+    flags = EventFlags(goal, collision_dolly, collision_other, v < SLOW_SPEED)
+    reward = compute_reward(flags, v)
+    terminal = goal or collision_dolly or collision_other or world.t + 1 >= world.step_limit
+
+    robot = world.robot
+    origins, dirs = ray_fan_reference([pose], robot)
+    dist, is_leg = cast_rays_reference(origins[0], dirs[0], world._segments, world._leg_centers,
+                                       world._leg_radii, robot.lidar_max_range)
+    n_lidar = 2 * robot.lidar_beams_per_sensor
+    lidar = dist[:n_lidar] / robot.lidar_max_range
+    frame = np.stack([dist[n_lidar:] / robot.lidar_max_range, is_leg[n_lidar:].astype(float)], axis=-1)
+    prev, sl = world.observation(), observation_slices(robot)
+    observation = np.concatenate([
+        prev[sl["semantic"]][frame.size:], frame.ravel(), lidar,
+        prev[sl["actions"]][2:], (v, omega), prev[sl["rewards"]][1:], (reward,),
+    ]).astype(world.dtype, copy=False)
+    return observation, reward, flags, terminal
+
+
 def forward_oracle(net, x):
     """Re-evaluate a DenseNet with per-neuron dot products."""
     h = np.asarray(x, dtype=np.float64)

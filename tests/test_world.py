@@ -41,6 +41,7 @@ from _oracles import (
     ray_fan_reference,
     scene_primitives,
     semantic_ray_geometry,
+    step_reference,
 )
 
 
@@ -139,9 +140,9 @@ def test_step_limit_terminates():
     w = World(empty_room(), step_limit=5)
     for _ in range(4):
         out = w.step((0.0, 0.0))
-        assert not out.terminal
+        assert not w.terminal
     out = w.step((0.0, 0.0))
-    assert out.terminal and not any([out.flags.goal, out.flags.collision_other])
+    assert w.terminal and not any([out.flags.goal, out.flags.collision_other])
 
 
 def test_step_after_terminal_raises():
@@ -169,9 +170,9 @@ def test_wall_collision_terminates():
     out = None
     for _ in range(20):
         out = w.step((1.0, 0.0))
-        if out.terminal:
+        if w.terminal:
             break
-    assert out.flags.collision_other and out.terminal
+    assert out.flags.collision_other and w.terminal
     assert out.reward == pytest.approx(-10.1)
 
 
@@ -180,7 +181,7 @@ def test_goal_reached_driving_straight():
     out = None
     for _ in range(40):
         out = w.step((1.0, 0.0))
-        if out.terminal:
+        if w.terminal:
             break
     assert out.flags.goal
     assert out.reward == pytest.approx(9.9)
@@ -196,7 +197,7 @@ def test_dolly_leg_collision():
     out = None
     for _ in range(40):
         out = w.step((1.0, 0.0))
-        if out.terminal:
+        if w.terminal:
             break
     assert out.flags.collision_dolly and not out.flags.goal
     assert out.reward == pytest.approx(-0.2)  # step penalty + dolly contact, v=1 not slow
@@ -212,8 +213,8 @@ def test_determinism_bit_for_bit():
         trace = []
         for a in actions:
             out = w.step(a)
-            trace.append((w.pose.x, w.pose.y, w.pose.yaw, out.reward, out.terminal))
-            if out.terminal:
+            trace.append((w.pose.x, w.pose.y, w.pose.yaw, out.reward, w.terminal))
+            if w.terminal:
                 break
         traces.append(trace)
     assert traces[0] == traces[1]
@@ -505,6 +506,41 @@ def test_observation_history_window(dtype):
     assert np.array_equal(reset, start)
     with pytest.raises(ValueError):
         reset[0] = 1.0
+
+
+@pytest.mark.parametrize("source", POSE_SOURCES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_step_equals_step_reference(source, dtype):
+    # every step's observation, reward, flags and end equal the frozen
+    # scan-split-concatenate step byte for byte; the grid room runs ten
+    # episodes of its one start, each task scene one
+    rng = np.random.default_rng(29)
+    scenes = source_scenes(source)
+    steps = 0
+    for cfg in scenes * (10 if len(scenes) == 1 else 1):
+        w = World(cfg, dtype=dtype, step_limit=60)
+        while not w.terminal:
+            action = rng.uniform(-1.2, 1.2, size=2)
+            observation, reward, flags, terminal = step_reference(w, action)
+            out = w.step(action)
+            assert out.observation.dtype == dtype
+            assert out.observation.tobytes() == observation.tobytes()
+            assert (out.reward, out.flags, w.terminal) == (reward, flags, terminal)
+            steps += 1
+    assert steps > 300
+
+
+def test_ray_fan_batch_equals_reference():
+    # one call for 16 poses gives each pose's rays of the frozen fan
+    rng = np.random.default_rng(37)
+    robot = RobotSpec()
+    poses = [Pose(rng.uniform(-2.0, 16.0), rng.uniform(-2.0, 16.0), rng.uniform(-4.0, 4.0))
+             for _ in range(16)]
+    fan = World(empty_room(), robot=robot)._fan
+    points, dx, dy = fan.rays(poses)
+    origins, dirs = ray_fan_reference(poses, robot)
+    assert np.array_equal(np.repeat(points, fan.counts, axis=1), origins)
+    assert np.array_equal(np.stack([dx, dy], axis=-1), dirs)
 
 
 # -- task sampling ---------------------------------------------------------
