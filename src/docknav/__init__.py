@@ -7,7 +7,6 @@ from .world import (
     Pose,
     RobotSpec,
     Task,
-    TaskBounds,
     World,
     WorldConfig,
     compute_reward,
@@ -17,6 +16,6 @@ from .world import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DollySpec", "Pose", "RobotSpec", "RunConfig", "Task", "TaskBounds", "World",
-    "WorldConfig", "compute_reward", "parse_config", "sample_task",
+    "DollySpec", "Pose", "RobotSpec", "RunConfig", "Task", "World", "WorldConfig",
+    "compute_reward", "parse_config", "sample_task",
 ]

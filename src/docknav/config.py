@@ -10,10 +10,10 @@ parses to an identical object.
 ``RunConfig``'s fields are the only declaration of the keys. To add a key, add
 one field to its section's block in ``RunConfig``; its annotation (``int``,
 ``float``, ``str``, ``tuple[int, ...]`` or ``tuple[float, ...]``) chooses the
-parser and the type every value must have. The learner, the replay and the
-curriculum read their fields straight from a ``RunConfig``; only the task
-bounds and the grid evaluation get a config of their own, from a ``to_*``
-builder.
+parser and the type every value must have. The task sampler, the learner,
+the replay and the curriculum read their fields straight from a
+``RunConfig``; only the grid evaluation gets a config of its own, from
+``to_grid_eval_config``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .grid_eval import GridEvalConfig, orientation_name
-from .world import TaskBounds
 
 
 class ConfigError(ValueError):
@@ -97,20 +96,6 @@ class RunConfig:
     eval_room_side: float = 14.0
 
     # -- domain-object builders -----------------------------------------
-
-    def to_task_bounds(self) -> TaskBounds:
-        return TaskBounds(
-            room_side=(self.room_min, self.room_max),
-            distance=(self.distance_min, self.distance_max),
-            bearing_half_angle=math.radians(self.bearing_half_angle_deg),
-            relative_yaw_half_range=math.radians(self.relative_yaw_half_deg),
-            dolly_yaw_half_range=math.radians(self.dolly_yaw_half_deg),
-            obstacle_count=(self.obstacle_count_min, self.obstacle_count_max),
-            obstacle_distance=(self.obstacle_distance_min, self.obstacle_distance_max),
-            obstacle_side=(self.obstacle_side_min, self.obstacle_side_max),
-            position_jitter=self.position_jitter,
-            start_anchor_y=self.start_anchor_y,
-        )
 
     def to_grid_eval_config(self) -> GridEvalConfig:
         return GridEvalConfig(
@@ -188,6 +173,8 @@ def _validate(cfg: RunConfig) -> list[str]:
     check(cfg.variant in ("navacl_q", "random_starts"),
           f"run.variant must be navacl_q or random_starts, got {cfg.variant!r}")
     check(len(cfg.seeds) >= 1, "run.seeds must list at least one seed")
+    check(all(s >= 0 for s in cfg.seeds), "run.seeds must be >= 0")
+    check(len(set(cfg.seeds)) == len(cfg.seeds), "run.seeds must not repeat a seed")
     check(cfg.episode_budget >= 1, "run.episode_budget must be >= 1")
     check(cfg.workers >= 1, "run.workers must be >= 1")
     check(cfg.updates_per_episode >= 0, "run.updates_per_episode must be >= 0")

@@ -39,19 +39,6 @@ def is_frontier(f: float, mu: float, sigma: float, config: RunConfig) -> bool:
     return mu - config.frontier_band * sigma < f < mu + config.frontier_band * sigma
 
 
-def classify(f: float, mu: float, sigma: float, config: RunConfig) -> str:
-    """Label one prediction as ``easy``, ``frontier``, or ``neither``.
-
-    Easy wins when the bands overlap, mirroring the order the task generator
-    tests them in.
-    """
-    if is_easy(f, mu, sigma, config):
-        return "easy"
-    if is_frontier(f, mu, sigma, config):
-        return "frontier"
-    return "neither"
-
-
 def draw_task_type(rng: np.random.Generator, config: RunConfig) -> str:
     u = rng.uniform()
     if u < config.p_easy:

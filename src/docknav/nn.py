@@ -87,9 +87,10 @@ class DenseNet:
     multiply as ``x @ W + b``. Inputs are 2-D batches ``(rows, in_dim)``; one
     observation is a batch of one row. Evaluation never mutates parameters.
     ``flat`` holds every parameter, laid out ``W0, b0, W1, b1, ...``, and
-    ``weights[l]`` and ``biases[l]`` are views into it."""
+    ``weights[l]`` and ``biases[l]`` are views into it. ``rng`` draws the
+    initial parameters; it has no unseeded default."""
 
-    def __init__(self, layer_sizes, activations, rng=None, dtype=np.float64):
+    def __init__(self, layer_sizes, activations, rng, dtype=np.float64):
         if len(activations) != len(layer_sizes) - 1:
             raise ValueError("need one activation per non-input layer")
         for act in activations:
@@ -98,7 +99,6 @@ class DenseNet:
         self.layer_sizes = tuple(int(n) for n in layer_sizes)
         self.activations = tuple(activations)
         self.dtype = np.dtype(dtype)
-        rng = rng or np.random.default_rng()
         sizes = zip(self.layer_sizes[:-1], self.layer_sizes[1:])
         self.flat = np.empty(sum((n_in + 1) * n_out for n_in, n_out in sizes), self.dtype)
         self.weights, self.biases = self._views(self.flat)

@@ -64,7 +64,7 @@ class Worker:
         self.fpi = trainer.fpi
 
     def _sample_task(self) -> world.Task:
-        return world.sample_task(self.rng, self.trainer.task_bounds,
+        return world.sample_task(self.rng, self.trainer.config,
                                  self.trainer.robot, self.trainer.dolly)
 
     def _score(self, tasks: list[world.Task]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -139,7 +139,6 @@ class Trainer:
         self.seed = seed
         self.robot = robot or world.RobotSpec()
         self.dolly = dolly or world.DollySpec()
-        self.task_bounds = config.to_task_bounds()
         self.dtype = np.dtype(config.dtype)
         self.obs_dim = world.observation_dim(self.robot)
         self.act_dim = ACT_DIM

@@ -13,12 +13,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import geometry
 from .geometry import wrap_angle
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 ACTION_DURATION = 0.18  # seconds one command is held
 GOAL_DISTANCE = 0.3  # robot-dolly center distance for success
@@ -488,22 +491,6 @@ class World:
 
 
 @dataclass(frozen=True)
-class TaskBounds:
-    """Randomization intervals for task generation (training defaults)."""
-
-    room_side: tuple[float, float] = (8.0, 12.0)
-    distance: tuple[float, float] = (1.5, 5.0)  # agent-goal, uniform
-    bearing_half_angle: float = math.radians(15.0)  # dolly on a 30 deg segment
-    relative_yaw_half_range: float = math.radians(90.0)  # robot yaw about goal bearing
-    dolly_yaw_half_range: float = math.radians(15.0)
-    obstacle_count: tuple[int, int] = (1, 4)
-    obstacle_distance: tuple[float, float] = (2.0, 5.0)  # lateral offset from dolly
-    obstacle_side: tuple[float, float] = (0.5, 1.5)
-    position_jitter: float = 0.5
-    start_anchor_y: float = 1.5
-
-
-@dataclass(frozen=True)
 class Task:
     """An initial world configuration plus its geometric curriculum features."""
 
@@ -548,47 +535,52 @@ def task_from_config(config: WorldConfig) -> Task:
 
 def sample_task(
     rng: np.random.Generator,
-    bounds: TaskBounds | None = None,
+    config: RunConfig | None = None,
     robot: RobotSpec | None = None,
     dolly: DollySpec | None = None,
 ) -> Task:
-    """Draw one randomized episode configuration.
+    """Draw one randomized episode configuration from the ``[world]``
+    intervals of ``config`` (default: ``RunConfig()``).
 
     Resamples until every scene invariant holds; raises
     :class:`TaskSamplingError` with per-reason counts when the retry cap is
     exhausted.
     """
-    bounds = bounds or TaskBounds()
+    if config is None:
+        from .config import RunConfig  # config imports grid_eval, which imports this module
+
+        config = RunConfig()
     robot = robot or RobotSpec()
     dolly = dolly or DollySpec()
+    bearing_half = math.radians(config.bearing_half_angle_deg)
+    relative_yaw_half = math.radians(config.relative_yaw_half_deg)
+    dolly_yaw_half = math.radians(config.dolly_yaw_half_deg)
+    jitter = config.position_jitter
     failures = {"pose_outside_room": 0, "start_collides": 0}
     for _ in range(TASK_RETRY_CAP):
-        room_w = rng.uniform(*bounds.room_side)
-        room_l = rng.uniform(*bounds.room_side)
-        rx = 0.5 * room_w + rng.uniform(-bounds.position_jitter, bounds.position_jitter)
-        ry = bounds.start_anchor_y + rng.uniform(-bounds.position_jitter, bounds.position_jitter)
-        r = rng.uniform(*bounds.distance)
-        bearing = 0.5 * math.pi + rng.uniform(-bounds.bearing_half_angle, bounds.bearing_half_angle)
+        room_w = rng.uniform(config.room_min, config.room_max)
+        room_l = rng.uniform(config.room_min, config.room_max)
+        rx = 0.5 * room_w + rng.uniform(-jitter, jitter)
+        ry = config.start_anchor_y + rng.uniform(-jitter, jitter)
+        r = rng.uniform(config.distance_min, config.distance_max)
+        bearing = 0.5 * math.pi + rng.uniform(-bearing_half, bearing_half)
         dollyx = rx + r * math.cos(bearing)
         dollyy = ry + r * math.sin(bearing)
-        dolly_pose = Pose(
-            dollyx, dollyy,
-            0.5 * math.pi + rng.uniform(-bounds.dolly_yaw_half_range, bounds.dolly_yaw_half_range),
-        )
-        robot_yaw = bearing + rng.uniform(-bounds.relative_yaw_half_range, bounds.relative_yaw_half_range)
+        dolly_pose = Pose(dollyx, dollyy, 0.5 * math.pi + rng.uniform(-dolly_yaw_half, dolly_yaw_half))
+        robot_yaw = bearing + rng.uniform(-relative_yaw_half, relative_yaw_half)
         robot_pose = Pose(rx, ry, robot_yaw)
 
-        n_obs = int(rng.integers(bounds.obstacle_count[0], bounds.obstacle_count[1] + 1))
+        n_obs = int(rng.integers(config.obstacle_count_min, config.obstacle_count_max + 1))
         obstacles = []
         for _ in range(n_obs):
             side = 1.0 if rng.uniform() < 0.5 else -1.0
-            offset = rng.uniform(*bounds.obstacle_distance)
-            half = 0.5 * rng.uniform(*bounds.obstacle_side)
+            offset = rng.uniform(config.obstacle_distance_min, config.obstacle_distance_max)
+            half = 0.5 * rng.uniform(config.obstacle_side_min, config.obstacle_side_max)
             ocx = dollyx + side * offset
             ocy = dollyy
             obstacles.append((ocx - half, ocy - half, ocx + half, ocy + half))
 
-        config = WorldConfig(
+        scene = WorldConfig(
             room_width=room_w,
             room_length=room_l,
             obstacles=tuple(obstacles),
@@ -609,5 +601,5 @@ def sample_task(
         if _ObstacleBoxes(obstacles, _collision_reach(robot, dolly)).hit(robot_corners, rx, ry):
             failures["start_collides"] += 1
             continue
-        return task_from_config(config)
+        return task_from_config(scene)
     raise TaskSamplingError(f"retry cap {TASK_RETRY_CAP} exhausted: {failures}")

@@ -83,12 +83,18 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
                       ("[eval]\ngrid_extent = nan\n", "grid_extent"),
                       ("[sac]\ntarget_entropy = nan\n", "target_entropy"),
                       ("[run]\nvariant = 50%\n", "variant"),
-                      ("[eval]\norientations_deg = 0.0, 0.4\n", "round to the same whole degree")):
+                      ("[eval]\norientations_deg = 0.0, 0.4\n", "round to the same whole degree"),
+                      ("[run]\nseeds = 1, 1\n", "run.seeds"),
+                      ("[run]\nseeds = -1\n", "run.seeds")):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2, text
         assert key in capsys.readouterr().err, text
+    rc = cli.main(["train", "--seed", "-1", "--out", str(tmp_path / "x")])
+    assert rc == 2
+    assert "run.seeds" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_missing_checkpoint_exits_nonzero(tmp_path, capsys):

@@ -8,7 +8,6 @@ from docknav.curriculum import (
     RunningStats,
     SuccessPredictor,
     bce_loss,
-    classify,
     draw_task_type,
     fit_normal,
     get_dynamic_task,
@@ -22,20 +21,16 @@ from docknav.sac import Actor
 from _oracles import finite_difference_grads, relative_grad_error
 
 
-def brute_force_label(f, mu, sigma, cfg):
-    """Literal transcription of the banding rules, kept separate from the
-    implementation on purpose."""
+def brute_force_bands(f, mu, sigma, cfg):
+    """(easy, frontier): literal transcription of the banding rules, kept
+    separate from the implementation on purpose. The bands may overlap."""
     band_top = mu + cfg.easy_band * sigma
     if band_top < 1.0:
         easy = (f > band_top) or (f > cfg.easy_threshold)
     else:
         easy = f > mu
     frontier = (mu - cfg.frontier_band * sigma) < f < (mu + cfg.frontier_band * sigma)
-    if easy:
-        return "easy"
-    if frontier:
-        return "frontier"
-    return "neither"
+    return easy, frontier
 
 
 # -- fit_normal ---------------------------------------------------------------
@@ -71,16 +66,16 @@ def test_fit_normal_matches_two_pass_oracle():
 # -- classification ---------------------------------------------------------------
 
 
-def test_classify_spec_examples():
+def test_band_spec_examples():
     cfg = RunConfig()
-    assert classify(0.65, 0.5, 0.1, cfg) == "easy"
-    assert classify(0.96, 0.95, 0.1, cfg) == "easy"  # mu + beta*sigma > 1 branch
-    assert classify(0.505, 0.5, 0.1, cfg) == "frontier"
-    assert classify(0.96, 0.5, 0.1, cfg) == "easy"  # chi threshold
-    assert classify(0.3, 0.5, 0.1, cfg) == "neither"
+    assert is_easy(0.65, 0.5, 0.1, cfg) and not is_frontier(0.65, 0.5, 0.1, cfg)
+    assert is_easy(0.96, 0.95, 0.1, cfg)  # mu + beta*sigma > 1 branch
+    assert is_frontier(0.505, 0.5, 0.1, cfg) and not is_easy(0.505, 0.5, 0.1, cfg)
+    assert is_easy(0.96, 0.5, 0.1, cfg)  # chi threshold
+    assert not is_easy(0.3, 0.5, 0.1, cfg) and not is_frontier(0.3, 0.5, 0.1, cfg)
 
 
-def test_classify_matches_bruteforce_on_random_tuples():
+def test_bands_match_bruteforce_on_random_tuples():
     rng = np.random.default_rng(1)
     for _ in range(10_000):
         cfg = RunConfig(
@@ -91,7 +86,9 @@ def test_classify_matches_bruteforce_on_random_tuples():
         mu = float(rng.uniform(0.0, 1.0))
         sigma = float(rng.uniform(0.0, 0.5))
         f = float(rng.uniform(0.0, 1.0))
-        assert classify(f, mu, sigma, cfg) == brute_force_label(f, mu, sigma, cfg)
+        easy, frontier = brute_force_bands(f, mu, sigma, cfg)
+        assert is_easy(f, mu, sigma, cfg) == easy
+        assert is_frontier(f, mu, sigma, cfg) == frontier
 
 
 def test_classify_corner_branches_hit():

@@ -1,5 +1,6 @@
 """Source hygiene checked without a linter: every name a module
-imports at module level is used somewhere in that module."""
+imports at module level is used somewhere in that module, and every public
+function or class of the package is used by the package or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "docknav").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+PACKAGE = sorted((ROOT / "src" / "docknav").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py")])
+# public definitions that only the tests call, each with its reason
+TEST_ONLY = {
+    "reporting.episodes_to_sustained_success": "acceptance criteria 7 and 8 measure with it",
+}
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -40,3 +46,31 @@ def test_no_unused_module_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported_names(tree).items()
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads, every attribute it looks up, and every
+    part of each string that is a (dotted) identifier, such as an ``__all__``
+    entry or a ``catalog.SPANS`` attribute."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                refs.update(parts)
+    return refs
+
+
+def test_every_public_definition_is_used():
+    users = [*PACKAGE, *(ROOT / "perfbench").rglob("*.py")]
+    refs = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in users))
+    unused = [f"{path.stem}.{node.name}" for path in PACKAGE
+              for node in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in refs]
+    unused = [name for name in unused if name not in TEST_ONLY]
+    assert not unused, f"no code in src/docknav or perfbench uses: {', '.join(unused)}"

@@ -25,7 +25,7 @@ from _oracles import finite_difference_grads, forward_oracle, relative_grad_erro
 
 
 def identity_net(n):
-    net = DenseNet([n, n], ["identity"])
+    net = DenseNet([n, n], ["identity"], rng=np.random.default_rng(0))
     net.weights[0][...] = np.eye(n)
     net.biases[0][...] = 0.0
     return net
@@ -38,7 +38,7 @@ def test_identity_layer_passthrough():
 
 
 def test_relu_layer():
-    net = DenseNet([2, 2], ["relu"])
+    net = DenseNet([2, 2], ["relu"], rng=np.random.default_rng(0))
     net.weights[0][...] = np.eye(2)
     net.biases[0][...] = 0.0
     assert np.array_equal(net.forward(np.array([[-1.0, 2.0]])), [[0.0, 2.0]])
@@ -62,7 +62,7 @@ def test_forward_batch_matches_single():
 
 
 def test_dimension_mismatch_raises():
-    net = DenseNet([3, 2], ["identity"])
+    net = DenseNet([3, 2], ["identity"], rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="width 3"):
         net.forward(np.zeros((1, 4)))
     with pytest.raises(ValueError, match="non-finite"):
@@ -238,7 +238,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = tmp_path / "net.ckpt"
     write_checkpoint(path, {"note": 1}, {"net.params": net.flat})
     meta, arrays = read_checkpoint(path)
-    restored = DenseNet([4, 8, 2], ["relu", "identity"])
+    restored = DenseNet([4, 8, 2], ["relu", "identity"], rng=np.random.default_rng(0))
     restored.flat[...] = arrays["net.params"]
     for a, b in zip(net.parameters(), restored.parameters()):
         assert np.array_equal(a, b)

@@ -85,7 +85,7 @@ def test_worker_stream_is_seed_plus_worker_id():
     # a draw skipped or added before the first task would move every task
     trainer = make_trainer()
     for i in range(3):
-        want = world.sample_task(np.random.default_rng(trainer.seed + i), trainer.task_bounds,
+        want = world.sample_task(np.random.default_rng(trainer.seed + i), trainer.config,
                                  trainer.robot, trainer.dolly)
         assert Worker(i, trainer.seed, trainer)._sample_task() == want
 

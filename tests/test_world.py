@@ -1,13 +1,13 @@
+import hashlib
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docknav import geometry
-from docknav.config import RunConfig, parse_config
+from docknav.config import RunConfig, config_overrides, parse_config
 from docknav.world import (
     HISTORY_LEN,
     START_SCAN_CHUNK,
@@ -17,7 +17,6 @@ from docknav.world import (
     Pose,
     RobotSpec,
     SimulationError,
-    TaskBounds,
     TaskSamplingError,
     World,
     WorldConfig,
@@ -48,11 +47,11 @@ from _oracles import (
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
-def config_tasks(name, n, seed, **bounds):
-    """``n`` tasks drawn from the task bounds of ``configs/<name>``."""
-    task_bounds = replace(parse_config(CONFIGS / name).to_task_bounds(), **bounds)
+def config_tasks(name, n, seed, **fields):
+    """``n`` tasks drawn from ``configs/<name>`` with ``fields`` overridden."""
+    config = config_overrides(parse_config(CONFIGS / name), **fields)
     rng = np.random.default_rng(seed)
-    return [sample_task(rng, task_bounds) for _ in range(n)]
+    return [sample_task(rng, config) for _ in range(n)]
 
 
 def empty_room(width=10.0, length=10.0, dolly=Pose(5.0, 8.0, math.pi / 2),
@@ -455,7 +454,8 @@ def test_fused_scan_equals_per_sensor_scans(name):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_start_observations_equal_world_reset(name, dtype):
     # 0 to 4 obstacles per task: every chunk pads segment lists of mixed length
-    tasks = config_tasks(name, 2 * START_SCAN_CHUNK + 5, seed=8, obstacle_count=(0, 4))
+    tasks = config_tasks(name, 2 * START_SCAN_CHUNK + 5, seed=8,
+                         obstacle_count_min=0, obstacle_count_max=4)
     configs = [task.config for task in tasks]
     assert len({len(cfg.obstacles) for cfg in configs}) == 5
     batched = start_observations(configs, dtype=dtype)
@@ -573,10 +573,28 @@ def test_sample_task_deterministic_from_seed():
     assert t1 == t2
 
 
+# sha256 over repr(task) of 5 draws per seed and the generator state after
+# each seed, for seeds 0-3 under RunConfig() and both shipped configs; taken
+# from the sampler as it was when it still read a separate bounds object
+TASK_STREAM_SHA256 = "c179276b77ab7ce432c1044b9b576caedba5f03c3250bbab8fc1bfd996c71002"
+
+
+def test_sample_task_stream_is_pinned():
+    digest = hashlib.sha256()
+    for config in (RunConfig(), parse_config(CONFIGS / "desk_nav.ini"),
+                   parse_config(CONFIGS / "desk_nav_obstacles.ini")):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                digest.update(repr(sample_task(rng, config)).encode())
+            digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == TASK_STREAM_SHA256
+
+
 def test_sample_task_retry_exhaustion():
-    bounds = TaskBounds(room_side=(8.0, 8.0), distance=(7.5, 7.6))
+    config = RunConfig(room_min=8, room_max=8, distance_min=7.5, distance_max=7.6)
     with pytest.raises(TaskSamplingError, match="retry cap"):
-        sample_task(np.random.default_rng(0), bounds)
+        sample_task(np.random.default_rng(0), config)
 
 
 def test_dolly_yaw_jitter_within_bounds():
