@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -244,8 +243,8 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 # 4 MiB chunks of everything before it (the last may be shorter). Another
 # version is rejected before anything is hashed (files of versions 1 to 5
 # hold their header length there). Chunks are hashed on the standard
-# library's thread pool, one thread per usable CPU, each reading through its
-# own buffer; a file of one chunk is hashed in the calling thread. On 2 cores
+# library's thread pool, one thread per usable CPU, each chunk read through a
+# buffer of its own; a file of one chunk is hashed in the calling thread. On 2 cores
 # a 73 MB checkpoint (a full 2^15 replay) saves in 0.04 s and restores,
 # verified, in 0.07 s. Arrays are streamed to and from the file, and a reader
 # that already holds an array of the right dtype and shape has its bytes
@@ -253,7 +252,7 @@ def net_grads_list(g: Gradients) -> list[np.ndarray]:
 
 _DIGEST_SIZE = 32
 _HASH_CHUNK = 4 << 20  # bytes per separately hashed chunk
-_READ_CHUNK = 256 << 10  # the read buffer of one hashing thread; 1 MiB ones raised peak RSS
+_READ_CHUNK = 256 << 10  # the read buffer of one hashed chunk; 1 MiB ones raised peak RSS
 _PREAMBLE = len(CHECKPOINT_MAGIC) + 8  # magic, version, header length
 
 
@@ -293,11 +292,9 @@ def _split_chunks(pieces) -> list[list[memoryview]]:
     return chunks + [chunk] if chunk else chunks
 
 
-def _container_digest(n_chunks: int, chunk_digest, meanwhile=lambda: None,
-                      buf_size: int = 0) -> bytes:
+def _container_digest(n_chunks: int, chunk_digest, meanwhile=lambda: None) -> bytes:
     """SHA-256 of the SHA-256 digests of chunks 0 to ``n_chunks - 1`` in order,
-    chunk ``i`` hashed by ``chunk_digest(i, buf)``, where ``buf`` is the hashing
-    thread's own buffer of ``buf_size`` bytes.
+    chunk ``i`` hashed by ``chunk_digest(i)``.
 
     More than one chunk is hashed on a ``ThreadPoolExecutor`` of one thread per
     usable CPU while the calling thread runs ``meanwhile()``; one chunk is
@@ -307,15 +304,13 @@ def _container_digest(n_chunks: int, chunk_digest, meanwhile=lambda: None,
     chunks not yet started. Either way every hashing thread has ended."""
     if n_chunks == 1:
         meanwhile()
-        return hashlib.sha256(chunk_digest(0, memoryview(bytearray(buf_size)))).digest()
+        return hashlib.sha256(chunk_digest(0)).digest()
     # imported here: at module level it raised the peak RSS of a grid
     # evaluation, which hashes no multi-chunk file, by about 0.6 MB
     from concurrent.futures import ThreadPoolExecutor
 
-    local = threading.local()
-    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), n_chunks), "checkpoint-hash",
-                            lambda: setattr(local, "buf", memoryview(bytearray(buf_size)))) as pool:
-        digests = pool.map(lambda i: chunk_digest(i, local.buf), range(n_chunks))
+    with ThreadPoolExecutor(min(len(os.sched_getaffinity(0)), n_chunks), "checkpoint-hash") as pool:
+        digests = pool.map(chunk_digest, range(n_chunks))
         try:
             meanwhile()
         except BaseException:
@@ -344,7 +339,7 @@ def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
                 for piece in pieces:
                     fh.write(piece)
 
-            fh.write(_container_digest(len(chunks), lambda i, _: _sha256(chunks[i]), write_pieces))
+            fh.write(_container_digest(len(chunks), lambda i: _sha256(chunks[i]), write_pieces))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -357,8 +352,10 @@ def _read_exact(fh, view: memoryview, path) -> None:
         raise CheckpointError(f"{path}: checkpoint file truncated while reading")
 
 
-def _hash_range(fd: int, start: int, stop: int, buf: memoryview, path) -> bytes:
-    """SHA-256 of the file's bytes ``[start, stop)``, read through ``buf``."""
+def _hash_range(fd: int, start: int, stop: int, path) -> bytes:
+    """SHA-256 of the file's bytes ``[start, stop)``, read through a buffer of
+    at most ``_READ_CHUNK`` bytes."""
+    buf = memoryview(bytearray(min(_READ_CHUNK, stop - start)))
     digest = hashlib.sha256()
     for pos in range(start, stop, len(buf)):
         view = buf[: stop - pos]
@@ -369,13 +366,11 @@ def _hash_range(fd: int, start: int, stop: int, buf: memoryview, path) -> bytes:
 
 
 def _verify_digest(fd: int, size: int, path) -> None:
-    """Check the digest of a file of ``size`` bytes; each hashing thread reads
-    its own chunks through one buffer of at most ``_READ_CHUNK`` bytes."""
+    """Check the digest of a file of ``size`` bytes."""
     end = size - _DIGEST_SIZE
     digest = _container_digest(
         -(-end // _HASH_CHUNK),
-        lambda i, buf: _hash_range(fd, i * _HASH_CHUNK, min(end, (i + 1) * _HASH_CHUNK), buf, path),
-        buf_size=min(_READ_CHUNK, end))
+        lambda i: _hash_range(fd, i * _HASH_CHUNK, min(end, (i + 1) * _HASH_CHUNK), path))
     if digest != os.pread(fd, _DIGEST_SIZE, end):
         raise CheckpointError(f"{path}: checksum mismatch")
 

@@ -25,17 +25,18 @@ import numpy as np
 
 from . import curriculum as cur
 from . import nn, world
-from .config import RunConfig, validate_config
+from .config import ConfigError, RunConfig, validate_config
 from .per import Episode, PrioritizedReplay, anneal_b
 from .sac import Actor, SacLearner
 
 MASTER_SEED_OFFSET = 2**31  # keeps the master stream clear of worker streams
 ACT_DIM = 2  # (linear, angular) velocity command
 
-TELEMETRY_FIELDS = ["episode", "worker_id", "return", "steps", "success", "task_type",
-                    "snapshot_version"]
-CURRICULUM_FIELDS = ["episode", "task_type", "distance", "agent_clearance", "goal_clearance",
-                     "relative_angle", "initial_q", "fpi_prediction", "success"]
+LOGS = {  # the run's logs in ``out_dir``, file -> columns, in ``Trainer._logs`` order
+    "telemetry.csv": ["episode", "worker_id", "return", "steps", "success", "task_type",
+                      "snapshot_version"],
+    "curriculum.csv": ["episode", "task_type", "distance", "agent_clearance", "goal_clearance",
+                       "relative_angle", "initial_q", "fpi_prediction", "success"]}
 
 
 class Candidate(NamedTuple):
@@ -136,19 +137,19 @@ class Trainer:
     def __init__(self, config: RunConfig, seed: int, out_dir=None,
                  robot: world.RobotSpec | None = None, dolly: world.DollySpec | None = None):
         self.config = validate_config(config)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         self.seed = seed
         self.robot = robot or world.RobotSpec()
         self.dolly = dolly or world.DollySpec()
         self.dtype = np.dtype(config.dtype)
         self.obs_dim = world.observation_dim(self.robot)
-        self.act_dim = ACT_DIM
 
         init_rng = np.random.default_rng(seed)
-        self.learner = SacLearner(self.obs_dim, self.act_dim, config, init_rng, dtype=self.dtype)
+        self.learner = SacLearner(self.obs_dim, ACT_DIM, config, init_rng, dtype=self.dtype)
         self.fpi = cur.SuccessPredictor(rng=init_rng, learning_rate=config.fpi_lr)
         self.replay = PrioritizedReplay(config.replay_capacity, config,
-                                        obs_dim=self.obs_dim, act_dim=self.act_dim,
-                                        dtype=self.dtype)
+                                        obs_dim=self.obs_dim, act_dim=ACT_DIM, dtype=self.dtype)
         self.master_rng = np.random.default_rng(seed + MASTER_SEED_OFFSET)
 
         self.episodes_received = 0
@@ -156,45 +157,38 @@ class Trainer:
         self.pending_updates = 0.0
         self.snapshot_version = 0
         self.result_set: list[tuple[np.ndarray, float]] = []  # pending f_pi batch
-        self.fpi_train_calls = 0
 
         self._workers = [Worker(i, seed, self) for i in range(config.workers)]
         self.out_dir = Path(out_dir) if out_dir else None
-        self._telemetry = self._curriculum_log = None
+        self._logs: list[tuple] = []  # (file, csv writer) per open log, in LOGS order
         if self.out_dir:
             self._open_logs(keep_rows=0)
 
     def _open_logs(self, keep_rows: int) -> None:
-        """Open ``telemetry.csv`` and ``curriculum.csv`` in ``out_dir``. With
-        ``keep_rows``, an existing log keeps its header and first ``keep_rows``
-        rows, and new rows follow them; a log with fewer rows raises
-        :class:`nn.CheckpointError` before either file is written. A missing
-        log, or any when ``keep_rows`` is 0, starts with its header."""
+        """Open every log of :data:`LOGS` in ``out_dir``. With ``keep_rows``,
+        an existing log keeps its header and first ``keep_rows`` rows, and new
+        rows follow them; a log with fewer rows raises
+        :class:`nn.CheckpointError` before any file is written. A missing log,
+        or any when ``keep_rows`` is 0, starts with its header."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        logs = [(self.out_dir / "telemetry.csv", TELEMETRY_FIELDS),
-                (self.out_dir / "curriculum.csv", CURRICULUM_FIELDS)]
-        kept = []
-        for path, _ in logs:
-            head = ""
+        kept = {}
+        for name in LOGS:
+            path = self.out_dir / name
             if keep_rows and path.exists():
                 lines = path.read_bytes().splitlines(keepends=True)
                 if len(lines) <= keep_rows:
                     raise nn.CheckpointError(
                         f"{path} holds {max(0, len(lines) - 1)} rows, fewer than the "
                         f"checkpoint's {keep_rows} episodes")
-                head = b"".join(lines[: keep_rows + 1]).decode()
-            kept.append(head)
-        handles = []
-        for (path, fields), head in zip(logs, kept):
-            fh = open(path, "w", newline="")
-            if head:
-                fh.write(head)
+                kept[name] = b"".join(lines[: keep_rows + 1]).decode()
+        for name, fields in LOGS.items():
+            fh = open(self.out_dir / name, "w", newline="")
+            writer = csv.writer(fh)
+            if name in kept:
+                fh.write(kept[name])
             else:
-                csv.writer(fh).writerow(fields)
-            handles.append(fh)
-        self._telemetry_fh, self._curriculum_fh = handles
-        self._telemetry = csv.writer(self._telemetry_fh)
-        self._curriculum_log = csv.writer(self._curriculum_fh)
+                writer.writerow(fields)
+            self._logs.append((fh, writer))
 
     # -- snapshots ------------------------------------------------------
 
@@ -218,16 +212,16 @@ class Trainer:
                 del self.result_set[:count]
                 self.fpi.train_batch(np.stack([f for f, _ in batch]),
                                      np.array([y for _, y in batch]))
-                self.fpi_train_calls += 1
-        if self._telemetry:
-            self._telemetry.writerow([
+        if self._logs:
+            (_, telemetry), (_, curriculum) = self._logs
+            telemetry.writerow([
                 self.episodes_received, episode.worker_id,
                 f"{episode.episode_return:.6f}", episode.steps, int(episode.success),
                 episode.task_type, episode.snapshot_version,
             ])
             f = episode.features
             pred = "" if math.isnan(episode.fpi_prediction) else f"{episode.fpi_prediction:.6f}"
-            self._curriculum_log.writerow([
+            curriculum.writerow([
                 self.episodes_received, episode.task_type,
                 f"{f[0]:.6f}", f"{f[1]:.6f}", f"{f[2]:.6f}", f"{f[3]:.6f}", f"{f[4]:.6f}",
                 pred, int(episode.success),
@@ -274,7 +268,7 @@ class Trainer:
         stop_at = self.config.episode_budget
         if max_new_episodes is not None:
             stop_at = min(stop_at, self.episodes_received + max_new_episodes)
-        if self.out_dir and not self._telemetry:
+        if self.out_dir and not self._logs:
             self._open_logs(keep_rows=self.episodes_received)
         start = time.monotonic()
         while self.episodes_received < stop_at:
@@ -297,18 +291,16 @@ class Trainer:
             self._checkpoint_to_out_dir(f"episode_{self.episodes_received}.ckpt")
 
     def _checkpoint_to_out_dir(self, name: str) -> None:
-        """Flush both logs first, so that on disk they hold every row the
+        """Flush the logs first, so that on disk they hold every row the
         checkpoint counts and a restore from it can keep them."""
-        if self._telemetry:
-            self._telemetry_fh.flush()
-            self._curriculum_fh.flush()
+        for fh, _ in self._logs:
+            fh.flush()
         save_checkpoint(self, self.out_dir / name)
 
     def close_logs(self) -> None:
-        if self._telemetry:
-            self._telemetry_fh.close()
-            self._curriculum_fh.close()
-            self._telemetry = self._curriculum_log = None
+        for fh, _ in self._logs:
+            fh.close()
+        self._logs = []
 
 
 # -- checkpointing ----------------------------------------------------------
@@ -324,7 +316,7 @@ COUNTERS = {
     "transitions_received": "transitions_received",
     "pending_updates": "pending_updates",
     "snapshot_version": "snapshot_version",
-    "fpi_train_calls": "fpi_train_calls",
+    "fpi_train_calls": "fpi.adam.step_count",  # adam_fpi.steps again; key goes at the next version
     "fpi_stats.count": "fpi.stats.count",
     "replay.size": "replay.size",
     "replay.cursor": "replay.cursor",
@@ -399,6 +391,15 @@ def save_checkpoint(trainer: Trainer, path) -> None:
     nn.write_checkpoint(path, meta, arrays)
 
 
+def _entry(meta, key: str, kind: type, path):
+    """``meta[key]`` if it is exactly a ``kind``, as JSON loads what save_checkpoint
+    writes; else :class:`nn.CheckpointError` names the file and the key."""
+    value = meta.get(key) if isinstance(meta, dict) else None
+    if type(value) is not kind:
+        raise nn.CheckpointError(f"{path}: checkpoint metadata has no {kind.__name__} {key!r}")
+    return value
+
+
 def _worker_rngs(meta: dict) -> list[dict]:
     states = []
     while f"worker{len(states)}_rng" in meta:
@@ -406,21 +407,21 @@ def _worker_rngs(meta: dict) -> list[dict]:
     return states
 
 
-def _trainer_for(meta: dict, config) -> Trainer:
+def _trainer_for(meta: dict, config, path) -> Trainer:
     """A fresh trainer for a checkpoint's metadata, after checking the
     metadata against ``config``."""
-    robot = world.RobotSpec(**meta["robot"])
+    robot = world.RobotSpec(**_entry(meta, "robot", dict, path))
     actor_layers = [world.observation_dim(robot), *config.hidden, 2 * ACT_DIM]
-    if meta["actor_layers"] != actor_layers:
+    if _entry(meta, "actor_layers", list, path) != actor_layers:
         raise nn.CheckpointError(
             f"actor layout mismatch: checkpoint {meta['actor_layers']} vs config {actor_layers}")
-    if meta["dtype"] != np.dtype(config.dtype).name:
+    if _entry(meta, "dtype", str, path) != np.dtype(config.dtype).name:
         raise nn.CheckpointError(
             f"dtype mismatch: checkpoint {meta['dtype']} vs config {config.dtype}")
-    if meta["variant"] != config.variant:
+    if _entry(meta, "variant", str, path) != config.variant:
         raise nn.CheckpointError(
             f"variant mismatch: checkpoint {meta['variant']} vs config {config.variant}")
-    n, cursor = int(meta["replay.size"]), int(meta["replay.cursor"])
+    n, cursor = _entry(meta, "replay.size", int, path), _entry(meta, "replay.cursor", int, path)
     # Until a ring fills, its cursor equals its size. Once it has filled, a
     # slot's next observation is the next slot's and the next push overwrites
     # slot ``cursor``, so only a ring of its own size reads it.
@@ -435,29 +436,31 @@ def _trainer_for(meta: dict, config) -> Trainer:
     if workers != config.workers:
         raise nn.CheckpointError(
             f"worker count mismatch: checkpoint {workers} vs config {config.workers}")
-    return Trainer(config, seed=int(meta["seed"]), robot=robot,
-                   dolly=world.DollySpec(**meta["dolly"]))
+    return Trainer(config, seed=_entry(meta, "seed", int, path), robot=robot,
+                   dolly=world.DollySpec(**_entry(meta, "dolly", dict, path)))
 
 
 def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     """Rebuild a trainer from a checkpoint. Structural mismatches against the
     supplied config raise :class:`nn.CheckpointError` before the trainer is
-    created. Every array of :func:`checkpoint_arrays` is read straight into
-    the new trainer's own, so the replay is held once. With ``out_dir``, the
+    created; a missing or mistyped metadata entry raises it too, naming the
+    key. Every array of :func:`checkpoint_arrays` is read straight into the
+    new trainer's own, so the replay is held once. With ``out_dir``, the
     run's logs there keep their header and the checkpoint's
-    ``episodes_received`` rows and are appended to; a log with fewer rows
-    raises :class:`nn.CheckpointError` before either is written."""
+    ``episodes_received`` rows and are appended to, after every check; a log
+    with fewer rows raises :class:`nn.CheckpointError` before any is written."""
     trainer = None
 
     def destinations(meta: dict) -> dict[str, np.ndarray]:
         nonlocal trainer
-        trainer = _trainer_for(meta, config)
-        trainer.replay.expect_finals(int(meta["replay.final_rows"]))
-        return checkpoint_arrays(trainer, int(meta["replay.size"]))
+        trainer = _trainer_for(meta, config, path)
+        trainer.replay.expect_finals(_entry(meta, "replay.final_rows", int, path))
+        return checkpoint_arrays(trainer, meta["replay.size"])
 
     meta, arrays = nn.read_checkpoint(path, into=destinations)
+    adam = _entry(meta, "adam", dict, path)
     for prefix, state in _optimizers(trainer).items():
-        state.step_count = int(meta["adam"][f"{prefix}.steps"])
+        state.step_count = _entry(adam, f"{prefix}.steps", int, path)
     if "pending_features" in arrays:
         feats = arrays["pending_features"]
         labels = arrays["pending_labels"]
@@ -465,14 +468,14 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     for key, attr in COUNTERS.items():
         owner, _, name = attr.rpartition(".")
         obj = operator.attrgetter(owner)(trainer) if owner else trainer
-        setattr(obj, name, type(getattr(obj, name))(meta[key]))  # the fresh trainer's type
+        setattr(obj, name, _entry(meta, key, type(getattr(obj, name)), path))
     try:
         trainer.replay.rebuild()  # the tree above the leaves read, each end's final row
     except ValueError as exc:
         raise nn.CheckpointError(f"{path}: {exc}") from exc
-    trainer.master_rng.bit_generator.state = meta["master_rng"]
-    for worker, state in zip(trainer._workers, _worker_rngs(meta)):
-        worker.rng.bit_generator.state = state
+    trainer.master_rng.bit_generator.state = _entry(meta, "master_rng", dict, path)
+    for worker in trainer._workers:
+        worker.rng.bit_generator.state = _entry(meta, f"worker{worker.worker_id}_rng", dict, path)
     if out_dir:
         trainer.out_dir = Path(out_dir)
         trainer._open_logs(keep_rows=trainer.episodes_received)
@@ -483,9 +486,12 @@ def actor_from_checkpoint(path, dtype=np.float32) -> Actor:
     """Load just the policy network from a checkpoint (enough for evaluation);
     the replay and every other array are skipped, not read."""
     meta, arrays = nn.read_checkpoint(path, prefix="actor.")
-    layers = meta["actor_layers"]
-    obs_dim, act_dim = int(layers[0]), int(layers[-1]) // 2
-    actor = Actor(obs_dim, act_dim, tuple(int(h) for h in layers[1:-1]),
+    layers = _entry(meta, "actor_layers", list, path)
+    if len(layers) < 2 or any(type(n) is not int or n < 1 for n in layers):
+        raise nn.CheckpointError(f"{path}: checkpoint metadata 'actor_layers' is {layers}")
+    if "actor.params" not in arrays:
+        raise nn.CheckpointError(f"{path}: checkpoint holds no array actor.params")
+    actor = Actor(layers[0], layers[-1] // 2, tuple(layers[1:-1]),
                   rng=np.random.default_rng(0), dtype=dtype)
     actor.net.flat[...] = arrays["actor.params"].reshape(actor.net.flat.shape)  # no broadcast
     return actor

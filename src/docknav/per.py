@@ -190,12 +190,16 @@ class PrioritizedReplay:
         """Every slot's next observation, gathered into one new
         ``(capacity, obs_dim)`` array whose rows past ``size`` are zero.
         Writing to it changes nothing stored."""
-        out = np.empty_like(self.obs)
-        out[:-1] = self.obs[1:]
-        out[-1] = self.obs[0]
-        ends = np.flatnonzero(self.ends)
-        out[ends] = self._finals[self._final_row[ends]]
+        out = self._next_obs(np.arange(self.capacity))
         out[self.size :] = 0
+        return out
+
+    def _next_obs(self, idx: np.ndarray) -> np.ndarray:
+        """The next observations of slots ``idx``, gathered into a new array: the
+        following slot's, or the side table's row where a slot ends its episode."""
+        out = self.obs[(idx + 1) % self.capacity]
+        end = self.ends[idx]
+        out[end] = self._finals[self._final_row[idx[end]]]
         return out
 
     def push_episode(self, episode: Episode) -> None:
@@ -257,8 +261,6 @@ class PrioritizedReplay:
         """Stratified proportional sample.
 
         Returns (batch dict, leaf indices, normalized importance weights).
-        ``next_obs`` is gathered from the following slots, and from the side
-        table where a slot ends its episode.
         """
         if self.size < batch_size:
             raise ValueError(f"cannot sample {batch_size} from buffer of size {self.size}")
@@ -270,14 +272,11 @@ class PrioritizedReplay:
         probs = leaf / total
         weights = (self.size * probs) ** (-b)
         weights = weights / weights.max()
-        next_obs = self.obs[(idx + 1) % self.capacity]
-        end = self.ends[idx]
-        next_obs[end] = self._finals[self._final_row[idx[end]]]
         batch = {
             "obs": self.obs[idx],
             "actions": self.actions[idx],
             "rewards": self.rewards[idx],
-            "next_obs": next_obs,
+            "next_obs": self._next_obs(idx),
             "terminals": self.terminals[idx],
             "worker_ids": self.worker_ids[idx],
         }

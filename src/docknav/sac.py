@@ -186,8 +186,6 @@ class SacLearner:
 
     def __init__(self, obs_dim, act_dim, config: RunConfig, rng, dtype=np.float64):
         self.config = config
-        self.obs_dim = obs_dim
-        self.act_dim = act_dim
         self.actor = Actor(obs_dim, act_dim, config.hidden, rng, dtype,
                            config.log_std_min, config.log_std_max, config.tanh_eps)
         self.critics = CriticPair(obs_dim, act_dim, config.hidden, rng, dtype)
@@ -219,7 +217,7 @@ class SacLearner:
         adam_step(self.critics.q1.parameters(), net_grads_list(g1), self.adam_q1)
         adam_step(self.critics.q2.parameters(), net_grads_list(g2), self.adam_q2)
 
-        noise = rng.standard_normal((len(obs), self.act_dim))
+        noise = rng.standard_normal((len(obs), self.actor.act_dim))
         aloss, ga, logp = actor_loss_and_grads(self.actor, self.critics, obs, noise, self.alpha)
         adam_step(self.actor.net.parameters(), net_grads_list(ga), self.adam_actor)
 

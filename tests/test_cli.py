@@ -4,7 +4,7 @@ import pytest
 
 import docknav
 from docknav import cli
-from docknav.nn import read_checkpoint
+from docknav.nn import read_checkpoint, write_checkpoint
 from docknav.world import Pose, World, WorldConfig
 
 
@@ -102,6 +102,22 @@ def test_missing_checkpoint_exits_nonzero(tmp_path, capsys):
                    "--out", str(tmp_path / "g")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("meta, arrays, message", [
+    ({"note": 1}, {"w": np.zeros(3)}, "checkpoint metadata has no list 'actor_layers'"),
+    (None, {"w": np.zeros(3)}, "checkpoint metadata has no list 'actor_layers'"),
+    ({"actor_layers": [4, "8", 4]}, {}, "checkpoint metadata 'actor_layers' is"),
+    ({"actor_layers": [4, 8, 4]}, {"w": np.zeros(3)}, "checkpoint holds no array actor.params"),
+], ids=["no_trainer_keys", "no_meta", "mistyped_layers", "no_actor"])
+def test_eval_grid_rejects_checkpoint_without_trainer_metadata(tmp_path, capsys, meta, arrays,
+                                                               message):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path, meta, arrays)
+    rc = cli.main(["eval-grid", "--checkpoint", str(path), "--out", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and "Traceback" not in err
 
 
 def test_seed_override_trains_single_seed(tiny_ini, tmp_path):

@@ -1,6 +1,7 @@
 """Source hygiene checked without a linter: every name a module
-imports at module level is used somewhere in that module, and every public
-function or class of the package is used by the package or the benchmark."""
+imports at module level is used somewhere in that module, every public
+function or class of the package is used by the package or the benchmark,
+and every attribute the package sets on ``self`` is read by one of them."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,26 @@ def test_every_public_definition_is_used():
               and not node.name.startswith("_") and node.name not in refs]
     unused = [name for name in unused if name not in TEST_ONLY]
     assert not unused, f"no code in src/docknav or perfbench uses: {', '.join(unused)}"
+
+
+def _self_attributes_set(tree: ast.Module) -> dict[str, int]:
+    """Attributes the module assigns on ``self`` (plainly, augmented, annotated
+    or unpacked), with the first line of each."""
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.setdefault(node.attr, node.lineno)
+    return names
+
+
+def test_every_attribute_set_on_self_is_read():
+    """An attribute only written, or only saved and restored through a dotted
+    string, is state kept for nothing: only an attribute load counts as a read."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in [*PACKAGE, *(ROOT / "perfbench").rglob("*.py")]}
+    loads = {node.attr for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{name} (line {line})" for path in PACKAGE
+              for name, line in _self_attributes_set(trees[path]).items() if name not in loads]
+    assert not unread, f"no code in src/docknav or perfbench reads: {', '.join(unread)}"

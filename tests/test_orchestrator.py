@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -253,10 +254,19 @@ def test_trainer_validates_a_config_built_in_python():
     assert "batch_size must not exceed run.replay_capacity" in message
 
 
+def test_trainer_rejects_a_negative_seed_before_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr(orchestrator, "SacLearner", refuse)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        Trainer(tiny_config(), seed=-1)
+
+
 def test_fpi_batch_flush():
     trainer = make_trainer(episode_budget=9, result_batch_size=4, batch_size=8)
     trainer.train()
-    assert trainer.fpi_train_calls == 2  # 9 results: two full batches of 4
+    assert trainer.fpi.adam.step_count == 2  # 9 results: two full batches of 4
     assert len(trainer.result_set) == 1
 
 
@@ -265,7 +275,7 @@ def test_random_starts_variant_bypasses_curriculum(tmp_path):
     trainer = make_trainer(out_dir=out, variant="random_starts", episode_budget=6,
                            batch_size=8)
     trainer.train()
-    assert trainer.fpi_train_calls == 0
+    assert trainer.fpi.adam.step_count == 0
     rows = (out / "curriculum.csv").read_text().strip().splitlines()[1:]
     assert all(row.split(",")[1] == "random" for row in rows)
     assert all(row.split(",")[7] == "" for row in rows)  # no f_pi prediction
@@ -512,6 +522,39 @@ def test_structural_mismatch_rejected(tmp_path):
     write_checkpoint(path, {k: v for k, v in meta.items() if k != "worker0_rng"}, arrays)
     with pytest.raises(CheckpointError, match="worker count mismatch: checkpoint 0 vs config 1"):
         restore_checkpoint(path, tiny_config())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("robot", None), ("seed", "1"), ("replay.size", 1.5), ("adam", None),
+    ("pending_updates", 3), ("master_rng", "PCG64"), ("worker0_rng", []),
+])
+def test_restore_rejects_missing_or_mistyped_metadata(tmp_path, key, value):
+    out = tmp_path / "run"
+    trainer = make_trainer(out_dir=out, episode_budget=3, batch_size=8)
+    trainer.train()
+    path = out / "final.ckpt"
+    save_checkpoint(trainer, path)
+    meta, arrays = read_checkpoint(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    write_checkpoint(path, meta, arrays)
+    logs = {name: (out / name).read_bytes() for name in ("telemetry.csv", "curriculum.csv")}
+    message = re.escape(f"{path}: checkpoint metadata ") + f".*'{key}'"
+    with pytest.raises(CheckpointError, match=message):
+        restore_checkpoint(path, tiny_config(episode_budget=3, batch_size=8), out_dir=out)
+    assert {name: (out / name).read_bytes() for name in logs} == logs
+
+
+@pytest.mark.parametrize("meta", [{"note": 1}, None], ids=["no_trainer_keys", "no_meta"])
+def test_restore_rejects_checkpoint_without_trainer_metadata(tmp_path, meta):
+    path = tmp_path / "x.ckpt"
+    write_checkpoint(path, meta, {"w": np.zeros(3)})
+    message = re.escape(f"{path}: checkpoint metadata has no dict 'robot'")
+    with pytest.raises(CheckpointError, match=message):
+        restore_checkpoint(path, tiny_config(), out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 def rewrite_array(path, name, change):
