@@ -8,6 +8,16 @@ keeps the backward pass simple and finite-difference checkable.
 Each network keeps its parameters, and returns its parameter gradients, in
 one flat array whose layout only :class:`DenseNet` knows, so optimizers,
 target copies and checkpoints handle one array per network.
+
+Training works in arrays kept from one call to the next: batch-sized
+temporaries made and freed on every update had the allocator hand their pages
+back and fault them in again. A network keeps, per number of rows, the arrays
+of its tape and of its backward pass, and :class:`AdamState` keeps the scratch
+of its update. The contract: a :class:`Tape` and a ``Gradients.wrt_input``
+are valid until that network's next taped or backward pass over the same
+number of rows. What a caller keeps is fresh: ``forward`` outputs and
+``Gradients.flat`` are new arrays on every call, and no two networks (a
+:meth:`DenseNet.copy` included) share a kept array.
 """
 
 from __future__ import annotations
@@ -34,35 +44,45 @@ class CheckpointError(RuntimeError):
     """Unreadable, corrupted, or version-incompatible checkpoint file."""
 
 
-def _apply_activation(kind: str, z: np.ndarray) -> np.ndarray:
+def _apply_activation(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The activation of ``z``, written into ``out`` (which may be ``z``);
+    identity returns ``z`` itself."""
     if kind == "identity":
         return z
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
+        return np.tanh(z, out=out)
+    if kind == "sigmoid":  # 1 / (1 + exp(-z))
+        np.negative(z, out=out)
+        np.exp(out, out=out)
+        out += 1.0
+        return np.divide(1.0, out, out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _backprop_activation(kind: str, g: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Adjoint times the activation derivative (identity passes through)."""
+def _backprop_activation(kind: str, g: np.ndarray, z: np.ndarray, y: np.ndarray,
+                         out=None, mask=None) -> np.ndarray:
+    """Adjoint ``g`` times the derivative of the activation at pre-activation
+    ``z`` and output ``y``, written into ``out`` (which may be ``g``; a new
+    array when None). ``mask`` is boolean scratch of ``z``'s shape for relu;
+    tanh and sigmoid take a temporary. Identity returns ``g``."""
     if kind == "identity":
         return g
     if kind == "relu":
-        return g * (z > 0.0)
+        return np.multiply(g, np.greater(z, 0.0, out=mask), out=out)
     if kind == "tanh":
-        return g * (1.0 - out**2)
+        return np.multiply(g, 1.0 - y**2, out=out)
     if kind == "sigmoid":
-        return g * (out * (1.0 - out))
+        return np.multiply(g, y * (1.0 - y), out=out)
     raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass
 class Tape:
     """Per-layer inputs, pre-activations, and outputs of one forward pass
-    over a 2-D batch."""
+    over a 2-D batch. Every array but the first input is the network's own,
+    valid until its next taped or backward pass over as many rows."""
 
     inputs: list
     pre: list
@@ -73,12 +93,29 @@ class Tape:
 class Gradients:
     """Result of :meth:`DenseNet.backward`: ``flat`` holds the parameter
     gradients in the network's ``flat`` layout (``DenseNet._views`` splits it
-    per layer), ``wrt_input`` the gradient of the input batch. A field is
-    ``None`` when the pass was told to skip it: ``flat`` with
-    ``params=False``, ``wrt_input`` with ``wrt_input=False``."""
+    per layer), a new array on every call; ``wrt_input`` the gradient of the
+    input batch, an array the network keeps (valid until its next taped or
+    backward pass over as many rows). A field is ``None`` when the pass was
+    told to skip it: ``flat`` with ``params=False``, ``wrt_input`` with
+    ``wrt_input=False``."""
 
     flat: np.ndarray | None
     wrt_input: np.ndarray | None
+
+
+class _Buffers:
+    """The arrays a network reuses in every taped forward and backward pass
+    over one number of rows, per layer: the pre-activation, the output (the
+    pre-activation itself for an identity layer), boolean scratch of their
+    shape, and the gradient of the layer's input, which the backward pass
+    also carries through the activation below it."""
+
+    def __init__(self, net: "DenseNet", rows: int):
+        self.pre = [np.empty((rows, n), net.dtype) for n in net.layer_sizes[1:]]
+        self.outputs = [z if act == "identity" else np.empty_like(z)
+                        for z, act in zip(self.pre, net.activations)]
+        self.mask = [np.empty(z.shape, bool) for z in self.pre]
+        self.d_input = [np.empty((rows, n), net.dtype) for n in net.layer_sizes[:-1]]
 
 
 class DenseNet:
@@ -87,7 +124,8 @@ class DenseNet:
     observation is a batch of one row. Evaluation never mutates parameters.
     ``flat`` holds every parameter, laid out ``W0, b0, W1, b1, ...``, and
     ``weights[l]`` and ``biases[l]`` are views into it. ``rng`` draws the
-    initial parameters; it has no unseeded default."""
+    initial parameters; it has no unseeded default. Taped and backward passes
+    work in :class:`_Buffers` made on the first pass over each row count."""
 
     def __init__(self, layer_sizes, activations, rng, dtype=np.float64):
         if len(activations) != len(layer_sizes) - 1:
@@ -101,6 +139,7 @@ class DenseNet:
         sizes = zip(self.layer_sizes[:-1], self.layer_sizes[1:])
         self.flat = np.empty(sum((n_in + 1) * n_out for n_in, n_out in sizes), self.dtype)
         self.weights, self.biases = self._views(self.flat)
+        self._buffers: dict[int, _Buffers] = {}
         for W, b in zip(self.weights, self.biases):
             limit = 1.0 / np.sqrt(W.shape[0])  # uniform fan-in scaling
             W[...] = rng.uniform(-limit, limit, size=W.shape)
@@ -118,6 +157,12 @@ class DenseNet:
             start += n_out
         return weights, biases
 
+    def _buffers_for(self, rows: int) -> _Buffers:
+        buffers = self._buffers.get(rows)
+        if buffers is None:
+            buffers = self._buffers[rows] = _Buffers(self, rows)
+        return buffers
+
     @property
     def in_dim(self) -> int:
         return self.layer_sizes[0]
@@ -131,21 +176,27 @@ class DenseNet:
         return x
 
     def forward(self, x) -> np.ndarray:
+        """The network's output for batch ``x``, a new array."""
         x = self._check_input(x)
         for W, b, act in zip(self.weights, self.biases, self.activations):
-            x = _apply_activation(act, x @ W + b)
+            z = x @ W
+            z += b
+            x = _apply_activation(act, z, out=z)
         return x
 
     def forward_tape(self, x) -> tuple[np.ndarray, Tape]:
+        """The output for batch ``x`` and the tape :meth:`backward` reads. The
+        output and every tape array but the input ``x`` are the network's
+        own, valid until its next taped or backward pass over ``len(x)`` rows."""
         x = self._check_input(x)
-        inputs, pres, outs = [], [], []
-        for W, b, act in zip(self.weights, self.biases, self.activations):
-            inputs.append(x)
-            z = x @ W + b
-            x = _apply_activation(act, z)
-            pres.append(z)
-            outs.append(x)
-        return x, Tape(inputs, pres, outs)
+        buffers = self._buffers_for(len(x))
+        inputs = [x, *buffers.outputs[:-1]]
+        for W, b, act, z, out in zip(self.weights, self.biases, self.activations,
+                                     buffers.pre, buffers.outputs):
+            np.matmul(x, W, out=z)
+            z += b
+            x = _apply_activation(act, z, out=out)
+        return x, Tape(inputs, buffers.pre, buffers.outputs)
 
     def backward(self, tape: Tape, out_adjoint, skip_last_activation: bool = False,
                  params: bool = True, wrt_input: bool = True) -> Gradients:
@@ -156,19 +207,25 @@ class DenseNet:
         ``params=False`` skips the weight and bias gradients and
         ``wrt_input=False`` the input gradient; a skipped field comes back as
         ``None``. The gradients that are computed are the same bits either way.
+        The parameter gradients are a new array; the input gradient is the
+        network's own, valid until its next taped or backward pass over as
+        many rows. The tape stays valid.
         """
         g = np.asarray(out_adjoint, dtype=self.dtype)
+        buffers = self._buffers_for(len(g))
         d_flat = np.empty_like(self.flat) if params else None
         d_weights, d_biases = self._views(d_flat) if params else (None, None)
         last = len(self.weights) - 1
         for l in range(last, -1, -1):
             if not (l == last and skip_last_activation):
-                g = _backprop_activation(self.activations[l], g, tape.pre[l], tape.outputs[l])
+                # below the top layer g is this network's own array: overwrite it
+                g = _backprop_activation(self.activations[l], g, tape.pre[l], tape.outputs[l],
+                                         out=None if l == last else g, mask=buffers.mask[l])
             if params:
                 np.matmul(tape.inputs[l].T, g, out=d_weights[l])
                 g.sum(axis=0, out=d_biases[l])
             if l or wrt_input:  # at layer 0 this product is the input gradient
-                g = g @ self.weights[l].T
+                g = np.matmul(g, self.weights[l].T, out=buffers.d_input[l])
         return Gradients(d_flat, g if wrt_input else None)
 
     # -- parameter plumbing -------------------------------------------
@@ -177,17 +234,21 @@ class DenseNet:
         return [self.flat]
 
     def copy(self) -> "DenseNet":
+        """A network with a copy of the parameters and no buffers of its own yet."""
         clone = DenseNet.__new__(DenseNet)
         clone.layer_sizes = self.layer_sizes
         clone.activations = self.activations
         clone.dtype = self.dtype
         clone.flat = self.flat.copy()
         clone.weights, clone.biases = clone._views(clone.flat)
+        clone._buffers = {}
         return clone
 
 
 class AdamState:
-    """Bias-corrected Adam accumulators for a list of parameter arrays."""
+    """Bias-corrected Adam accumulators for a list of parameter arrays, and
+    per array the scratch :func:`adam_step` works in: two arrays of its shape
+    and dtype."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -198,33 +259,46 @@ class AdamState:
         self.step_count = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
 def adam_step(params, grads, state: AdamState):
     """One in-place Adam update; raises :class:`GradientError` on non-finite
-    gradients so a diverging run dies instead of silently corrupting weights."""
+    gradients so a diverging run dies instead of silently corrupting weights.
+    Each gradient has its parameter's shape and dtype; the arithmetic runs in
+    the state's scratch and allocates nothing the size of a parameter."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads/state length mismatch")
-    for g in grads:
-        if not np.isfinite(g).all():
+    for p, g, (finite, _) in zip(params, grads, state._scratch):
+        if g.shape != p.shape or g.dtype != p.dtype:
+            raise ValueError(f"gradient {g.dtype} {g.shape} for a parameter {p.dtype} {p.shape}")
+        if not np.isfinite(g, out=finite).all():  # 1.0 where finite, else 0.0
             raise GradientError("non-finite gradient in adam_step")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (step, denom) in zip(params, grads, state.m, state.v, state._scratch):
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
+        np.multiply(1.0 - state.beta2, g, out=step)
+        v += np.multiply(step, g, out=step)
         # Moments of a gradient gone to zero decay into the subnormal range,
         # where arithmetic is many times slower; flush them to zero. Adding
-        # 0.0 turns the -0.0 of a flushed negative moment into +0.0.
+        # 0.0 turns the -0.0 of a flushed negative moment into +0.0. The
+        # comparisons write 1.0 and 0.0, which multiply as True and False do.
         tiny = np.finfo(m.dtype).tiny
-        m *= np.abs(m) >= tiny
+        m *= np.greater_equal(np.abs(m, out=step), tiny, out=step)
         m += 0.0
-        v *= v >= tiny
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v *= np.greater_equal(v, tiny, out=step)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        p -= np.divide(step, denom, out=step)
     return params
 
 

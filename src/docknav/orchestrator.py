@@ -400,6 +400,26 @@ def _entry(meta, key: str, kind: type, path):
     return value
 
 
+def _spec(meta, key: str, cls: type, path):
+    """``cls`` built from the dict ``meta[key]``; :class:`nn.CheckpointError`
+    names the file and the key when the dict does not fit its fields."""
+    try:
+        return cls(**_entry(meta, key, dict, path))
+    except TypeError as exc:
+        raise nn.CheckpointError(f"{path}: checkpoint metadata {key!r} is no {cls.__name__}: "
+                                 f"{exc}") from exc
+
+
+def _set_rng_state(rng: np.random.Generator, meta, key: str, path) -> None:
+    """Set ``rng``'s bit generator to the state dict ``meta[key]``;
+    :class:`nn.CheckpointError` names the file and the key when numpy rejects it."""
+    try:
+        rng.bit_generator.state = _entry(meta, key, dict, path)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise nn.CheckpointError(f"{path}: checkpoint metadata {key!r} is no "
+                                 f"{type(rng.bit_generator).__name__} state: {exc!r}") from exc
+
+
 def _worker_rngs(meta: dict) -> list[dict]:
     states = []
     while f"worker{len(states)}_rng" in meta:
@@ -410,7 +430,7 @@ def _worker_rngs(meta: dict) -> list[dict]:
 def _trainer_for(meta: dict, config, path) -> Trainer:
     """A fresh trainer for a checkpoint's metadata, after checking the
     metadata against ``config``."""
-    robot = world.RobotSpec(**_entry(meta, "robot", dict, path))
+    robot = _spec(meta, "robot", world.RobotSpec, path)
     actor_layers = [world.observation_dim(robot), *config.hidden, 2 * ACT_DIM]
     if _entry(meta, "actor_layers", list, path) != actor_layers:
         raise nn.CheckpointError(
@@ -437,7 +457,7 @@ def _trainer_for(meta: dict, config, path) -> Trainer:
         raise nn.CheckpointError(
             f"worker count mismatch: checkpoint {workers} vs config {config.workers}")
     return Trainer(config, seed=_entry(meta, "seed", int, path), robot=robot,
-                   dolly=world.DollySpec(**_entry(meta, "dolly", dict, path)))
+                   dolly=_spec(meta, "dolly", world.DollySpec, path))
 
 
 def restore_checkpoint(path, config, out_dir=None) -> Trainer:
@@ -473,9 +493,9 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
         trainer.replay.rebuild()  # the tree above the leaves read, each end's final row
     except ValueError as exc:
         raise nn.CheckpointError(f"{path}: {exc}") from exc
-    trainer.master_rng.bit_generator.state = _entry(meta, "master_rng", dict, path)
+    _set_rng_state(trainer.master_rng, meta, "master_rng", path)
     for worker in trainer._workers:
-        worker.rng.bit_generator.state = _entry(meta, f"worker{worker.worker_id}_rng", dict, path)
+        _set_rng_state(worker.rng, meta, f"worker{worker.worker_id}_rng", path)
     if out_dir:
         trainer.out_dir = Path(out_dir)
         trainer._open_logs(keep_rows=trainer.episodes_received)

@@ -81,7 +81,8 @@ class Actor:
 
 
 class CriticPair:
-    """Twin Q networks plus hard-updated target copies."""
+    """Twin Q networks plus hard-updated target copies, and per number of
+    rows the array their joined ``(obs, action)`` input is written into."""
 
     def __init__(self, obs_dim, act_dim, hidden, rng, dtype=np.float64):
         sizes = [obs_dim + act_dim, *hidden, 1]
@@ -90,15 +91,22 @@ class CriticPair:
         self.q2 = DenseNet(sizes, acts, rng=rng, dtype=dtype)
         self.target_q1 = self.q1.copy()
         self.target_q2 = self.q2.copy()
+        self._inputs: dict[int, np.ndarray] = {}
+
+    def joined(self, obs, act) -> np.ndarray:
+        """``obs`` and ``act`` side by side, cast to the critics' dtype, in an
+        array the pair keeps: valid until its next join of as many rows."""
+        x = self._inputs.get(len(obs))
+        if x is None:
+            x = self._inputs[len(obs)] = np.empty((len(obs), self.q1.in_dim), self.q1.dtype)
+        return np.concatenate([obs, act], axis=1, out=x)
 
     def hard_update(self):
         np.copyto(self.target_q1.flat, self.q1.flat)
         np.copyto(self.target_q2.flat, self.q2.flat)
 
     def min_target_q(self, obs, act):
-        # the networks cast their input to their dtype anyway; joining float32
-        # obs to float64 actions first would build a float64 copy to cast back
-        x = np.concatenate([obs, np.asarray(act, dtype=self.target_q1.dtype)], axis=1)
+        x = self.joined(obs, act)
         return np.minimum(self.target_q1.forward(x)[:, 0], self.target_q2.forward(x)[:, 0])
 
 
@@ -120,7 +128,7 @@ def critic_losses(critics: CriticPair, obs, act, targets, weights):
     Returns (loss, grads_q1, grads_q2, |td_error|) where the TD error that
     feeds replay priorities comes from the first critic.
     """
-    x = np.concatenate([obs, act], axis=1)
+    x = critics.joined(obs, act)
     targets = np.asarray(targets)
     weights = np.asarray(weights)
     batch = len(targets)
@@ -146,7 +154,7 @@ def actor_loss_and_grads(actor: Actor, critics: CriticPair, obs, noise, alpha: f
     mu, log_std, gate, tape = actor.dist_params(obs, tape=True)
     a, logp, sigma, one_m_a2 = actor._squash(mu, log_std, noise)
 
-    x = np.concatenate([obs, a.astype(critics.q1.dtype)], axis=1)
+    x = critics.joined(obs, a)
     v1, tape1 = critics.q1.forward_tape(x)
     v2, tape2 = critics.q2.forward_tape(x)
     q1v, q2v = v1[:, 0], v2[:, 0]

@@ -150,6 +150,80 @@ def test_input_gradient_matches_finite_differences():
         assert abs(grads.wrt_input[0, i] - num) < 1e-6
 
 
+# -- kept arrays ---------------------------------------------------------------
+
+
+def _pass_arrays(net, x, adjoint):
+    """The output, the tape's arrays and both gradients of one taped and one
+    backward pass of ``net`` over ``x``."""
+    out, tape = net.forward_tape(x)
+    grads = net.backward(tape, adjoint)
+    return [out, *tape.pre, *tape.outputs, grads.flat, grads.wrt_input]
+
+
+def test_copy_shares_no_array_with_its_source():
+    rng = np.random.default_rng(11)
+    net = DenseNet([4, 8, 8, 2], ["relu", "tanh", "identity"], rng=rng)
+    x, adjoint = rng.normal(size=(5, 4)), rng.normal(size=(5, 2))
+    _pass_arrays(net, x, adjoint)  # the source has made its arrays before it is copied
+    clone = net.copy()
+    ours = [net.flat, *_pass_arrays(net, x, adjoint)]
+    theirs = [clone.flat, *_pass_arrays(clone, x, adjoint)]
+    assert not any(np.shares_memory(a, b) for a in ours for b in theirs)
+
+
+@pytest.mark.parametrize("acts", [["relu", "identity"], ["tanh", "sigmoid"]])
+def test_caller_held_outputs_and_parameter_gradients_survive_later_passes(acts):
+    rng = np.random.default_rng(12)
+    net = DenseNet([4, 8, 2], acts, rng=rng)
+    x = rng.normal(size=(5, 4))
+    y = net.forward(x)
+    out, tape = net.forward_tape(x)
+    flat = net.backward(tape, rng.normal(size=out.shape)).flat
+    held = [a.copy() for a in (y, flat)]
+    for rows in (5, 3, 5):
+        z = rng.normal(size=(rows, 4))
+        net.forward(z)
+        out, tape = net.forward_tape(z)
+        net.backward(tape, rng.normal(size=out.shape))
+    for a, b in zip((y, flat), held):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tape_stays_valid_while_other_networks_run(dtype):
+    """The actor step's order: the actor's tape is held while both critics
+    record tapes over as many rows and run backward; the actor's backward
+    comes last. Every result equals that network's pass with nothing between."""
+    rng = np.random.default_rng(13)
+    actor = DenseNet([5, 16, 4], ["relu", "identity"], rng=rng, dtype=dtype)
+    q1, q2 = (DenseNet([7, 16, 1], ["relu", "identity"], rng=rng, dtype=dtype) for _ in "12")
+    obs, x = rng.normal(size=(6, 5)), rng.normal(size=(6, 7))
+    adj_actor, adj_q = rng.normal(size=(6, 4)), rng.normal(size=(6, 1))
+
+    def isolated(net, inputs, adjoint, **switches):
+        clone = net.copy()
+        out, tape = clone.forward_tape(inputs)
+        grads = clone.backward(tape, adjoint, **switches)
+        return [a.tobytes() for a in (out, grads.flat, grads.wrt_input) if a is not None]
+
+    expected = [isolated(actor, obs, adj_actor, wrt_input=False),
+                isolated(q1, x, adj_q, params=False), isolated(q2, x, adj_q, params=False)]
+    out, tape = actor.forward_tape(obs)
+    v1, tape1 = q1.forward_tape(x)
+    v2, tape2 = q2.forward_tape(x)
+    d1 = q1.backward(tape1, adj_q, params=False).wrt_input
+    d2 = q2.backward(tape2, adj_q, params=False).wrt_input
+    for net, inputs in ((actor, obs), (q1, x), (q2, x)):
+        net.forward(inputs)  # an untaped pass writes no kept array
+    _, short = actor.forward_tape(obs[:3])  # nor does a pass over another row count
+    actor.backward(short, adj_actor[:3])
+    grads = actor.backward(tape, adj_actor, wrt_input=False)
+    got = [[out.tobytes(), grads.flat.tobytes()],
+           [v1.tobytes(), d1.tobytes()], [v2.tobytes(), d2.tobytes()]]
+    assert got == expected
+
+
 # -- adam --------------------------------------------------------------------
 
 

@@ -527,6 +527,13 @@ def test_structural_mismatch_rejected(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("robot", None), ("seed", "1"), ("replay.size", 1.5), ("adam", None),
     ("pending_updates", 3), ("master_rng", "PCG64"), ("worker0_rng", []),
+    # a callable value rewrites the saved entry
+    pytest.param("robot", lambda robot: {**robot, "wheels": 4}, id="robot-unknown_field"),
+    pytest.param("dolly", lambda dolly: {**dolly, "wheels": 4}, id="dolly-unknown_field"),
+    pytest.param("master_rng", lambda state: {"bit_generator": state["bit_generator"]},
+                 id="master_rng-no_state"),
+    pytest.param("worker0_rng", lambda state: {**state, "state": {"state": 1}},
+                 id="worker0_rng-short_state"),
 ])
 def test_restore_rejects_missing_or_mistyped_metadata(tmp_path, key, value):
     out = tmp_path / "run"
@@ -538,7 +545,7 @@ def test_restore_rejects_missing_or_mistyped_metadata(tmp_path, key, value):
     if value is None:
         del meta[key]
     else:
-        meta[key] = value
+        meta[key] = value(meta[key]) if callable(value) else value
     write_checkpoint(path, meta, arrays)
     logs = {name: (out / name).read_bytes() for name in ("telemetry.csv", "curriculum.csv")}
     message = re.escape(f"{path}: checkpoint metadata ") + f".*'{key}'"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,3 +348,39 @@ def test_learner_update_bitwise_equals_reference(dtype):
     # the critics moved on after the last hard copy, so the targets differ
     assert not np.array_equal(learner.critics.q1.weights[0], learner.critics.target_q1.weights[0])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_desk_size_update_keeps_its_working_arrays():
+    # the desk learner: 524 observations, two hidden layers of 128, batches
+    # of 256, float32; one update allocates about 4 MB of batch-sized
+    # temporaries when its networks and optimizers keep no working arrays
+    obs_dim, batch = 524, 256
+    cfg = RunConfig(hidden=(128, 128), batch_size=batch)
+    learner = SacLearner(obs_dim, ACT_DIM, cfg, np.random.default_rng(31), dtype=np.float32)
+    data = np.random.default_rng(32)
+    obs = data.normal(size=(batch, obs_dim)).astype(np.float32)
+    act = data.uniform(-1.0, 1.0, size=(batch, ACT_DIM)).astype(np.float32)
+    rew = data.normal(size=batch).astype(np.float32)
+    term = data.uniform(size=batch) < 0.2
+    nxt = data.normal(size=(batch, obs_dim)).astype(np.float32)
+    w = data.uniform(0.1, 1.0, size=batch)
+    rng = np.random.default_rng(33)
+    for _ in range(2):  # the first updates make the kept arrays
+        learner.update(obs, act, rew, term, nxt, w, rng)
+
+    def array_bytes():  # numpy array data only: Python's free lists hold object memory
+        numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        return sum(t.size for t in tracemalloc.take_snapshot().filter_traces([numpy_domain]).traces)
+
+    tracemalloc.start()
+    try:
+        learner.update(obs, act, rew, term, nxt, w, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+        kept = array_bytes()
+        for _ in range(10):
+            learner.update(obs, act, rew, term, nxt, w, rng)
+        grown = array_bytes() - kept
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6, f"one update peaked at {peak / 1e6:.2f} MB"
+    assert grown <= 0, f"10 updates kept {grown} more bytes of arrays"
