@@ -138,7 +138,8 @@ class SuccessPredictor:
         p = p[:, 0]
         m = len(labels)
         # fold sigmoid + BCE: dLoss/dlogit = (p - y) / m
-        grads = self.net.backward(tape, ((p - labels) / m)[:, None], skip_last_activation=True)
+        grads = self.net.backward(tape, ((p - labels) / m)[:, None], skip_last_activation=True,
+                                  wrt_input=False)
         adam_step(self.net.parameters(), net_grads_list(grads), self.adam)
         return bce_loss(p, labels)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
+ACTIVATIONS = ("identity", "relu", "sigmoid")
 
 CHECKPOINT_MAGIC = b"DNCK"
 CHECKPOINT_VERSION = 6
@@ -51,8 +51,6 @@ def _apply_activation(kind: str, z: np.ndarray, out: np.ndarray) -> np.ndarray:
         return z
     if kind == "relu":
         return np.maximum(z, 0.0, out=out)
-    if kind == "tanh":
-        return np.tanh(z, out=out)
     if kind == "sigmoid":  # 1 / (1 + exp(-z))
         np.negative(z, out=out)
         np.exp(out, out=out)
@@ -66,13 +64,11 @@ def _backprop_activation(kind: str, g: np.ndarray, z: np.ndarray, y: np.ndarray,
     """Adjoint ``g`` times the derivative of the activation at pre-activation
     ``z`` and output ``y``, written into ``out`` (which may be ``g``; a new
     array when None). ``mask`` is boolean scratch of ``z``'s shape for relu;
-    tanh and sigmoid take a temporary. Identity returns ``g``."""
+    sigmoid takes a temporary. Identity returns ``g``."""
     if kind == "identity":
         return g
     if kind == "relu":
         return np.multiply(g, np.greater(z, 0.0, out=mask), out=out)
-    if kind == "tanh":
-        return np.multiply(g, 1.0 - y**2, out=out)
     if kind == "sigmoid":
         return np.multiply(g, y * (1.0 - y), out=out)
     raise ValueError(f"unknown activation {kind!r}")

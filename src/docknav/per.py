@@ -33,9 +33,11 @@ class SumTree:
 
     Leaves live at indices [capacity-1, 2*capacity-1) of a flat array; every
     internal node stores the sum of its children. ``set_many`` is the one way
-    to write leaves. ``find_prefix_batch`` descends from the root for a whole
-    batch of values at once, in O(log n) vectorized steps. ``max_leaf`` scans
-    the leaves; the replay reads it once per episode, far less often than it
+    to write leaves: it repairs their ancestors in one loop, a level per pass,
+    for one leaf, an episode, a sampled batch with repeats or a full rebuild
+    alike. ``find_prefix_batch`` descends from the root for a whole batch of
+    values at once, in O(log n) vectorized steps. ``max_leaf`` scans the
+    leaves; the replay reads it once per episode, far less often than it
     writes priorities, so no tree of maxima is kept up to date.
     """
 
@@ -57,35 +59,23 @@ class SumTree:
         return self.nodes[self.capacity - 1 :].copy()
 
     def set_many(self, indices, priorities) -> None:
-        """Write leaves, then repair each ancestor level once. Every internal
-        node ends as the sum of its final children, so one call leaves the
-        same bits as writing the leaves one by one. The parents of a sorted,
-        duplicate-free level are sorted, so above the first level a neighbour
-        comparison drops the duplicates; a level of one node, as every level
-        of a one-leaf write is, has none to drop."""
+        """Write leaves, then repair their ancestors one level per pass: each
+        pass lifts the written nodes to their parents and sets every parent to
+        the sum of its children, which the pass before left final. Every leaf
+        is equally deep, so all the nodes reach the root on the same pass. A
+        node listed twice, as a repeated index or a parent shared by two
+        written leaves, gets the same sum twice, so one call leaves the same
+        bits as writing the leaves one by one."""
         indices = np.asarray(indices, dtype=np.int64)
         priorities = np.asarray(priorities, dtype=np.float64)
         if priorities.size and priorities.min() < 0:
             raise ValueError("priority must be non-negative")
         nodes = self.capacity - 1 + indices
         self.nodes[nodes] = priorities
-        if self.capacity == 1 or not len(nodes):
-            return  # the only leaf is the root, or no leaf changed
-        parents = (nodes - 1) // 2
-        if len(parents) > 1:
-            parents = np.unique(parents)
-        while True:
-            left = 2 * parents + 1
-            right = left + 1
-            self.nodes[parents] = self.nodes[left] + self.nodes[right]
-            if parents[0] == 0:
-                break
-            parents = (parents - 1) // 2
-            if len(parents) > 1:
-                keep = np.empty(len(parents), dtype=bool)
-                keep[0] = True
-                np.not_equal(parents[1:], parents[:-1], out=keep[1:])
-                parents = parents[keep]
+        while len(nodes) and nodes[0]:  # the first node is the root only when all are
+            nodes = (nodes - 1) // 2
+            left = 2 * nodes + 1
+            self.nodes[nodes] = self.nodes[left] + self.nodes[left + 1]
 
     def find_prefix_batch(self, values: np.ndarray) -> np.ndarray:
         """For each value, the smallest leaf index whose cumulative sum reaches it."""

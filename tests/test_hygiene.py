@@ -1,7 +1,9 @@
 """Source hygiene checked without a linter: every name a module
 imports at module level is used somewhere in that module, every public
-function or class of the package is used by the package or the benchmark,
-and every attribute the package sets on ``self`` is read by one of them."""
+function, class, method or property of the package is used by the package or
+the benchmark, and every attribute the package sets on ``self`` is read by
+one of them. Uses are matched by name, so a definition counts as used when
+any name or attribute lookup of the package or the benchmark spells it."""
 
 import ast
 from pathlib import Path
@@ -66,13 +68,25 @@ def _references(tree: ast.Module) -> set[str]:
     return refs
 
 
+def _public_definitions(tree: ast.Module):
+    """The module's public functions and classes, and the public methods and
+    properties of each of its classes, as (name, qualified name) pairs."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not item.name.startswith("_"):
+                    yield item.name, f"{node.name}.{item.name}"
+
+
 def test_every_public_definition_is_used():
     users = [*PACKAGE, *(ROOT / "perfbench").rglob("*.py")]
     refs = set().union(*(_references(ast.parse(p.read_text(encoding="utf-8"))) for p in users))
-    unused = [f"{path.stem}.{node.name}" for path in PACKAGE
-              for node in ast.parse(path.read_text(encoding="utf-8")).body
-              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-              and not node.name.startswith("_") and node.name not in refs]
+    unused = [f"{path.stem}.{qualified}" for path in PACKAGE
+              for name, qualified in _public_definitions(ast.parse(path.read_text(encoding="utf-8")))
+              if name not in refs]
     unused = [name for name in unused if name not in TEST_ONLY]
     assert not unused, f"no code in src/docknav or perfbench uses: {', '.join(unused)}"
 

@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import numpy as np
@@ -99,14 +100,44 @@ def test_root_sum_invariant_after_mutations():
         assert abs(tree.nodes[i] - (tree.nodes[2 * i + 1] + tree.nodes[2 * i + 2])) < 1e-9
 
 
-@pytest.mark.parametrize("capacity,n", [(1, 1), (2, 1), (64, 37), (64, 64)])
-def test_set_many_prefix_equals_sequential_sets(capacity, n):
-    # checkpoint restore writes the first n leaves in one call
-    priorities = np.random.default_rng(capacity + n).uniform(0.0, 5.0, size=n)
+def _traffic_write(capacity, shape, rng):
+    """Leaf indices and priorities of one tree write of a shape the replay makes."""
+    if shape == "sampled":  # a priority refresh: unsorted, with repeats
+        drawn = rng.integers(0, capacity, size=128)
+        indices = rng.permutation(np.concatenate([drawn, drawn[:64]]))
+    elif shape == "episode_across_end":  # push_episode's slots from a cursor near the end
+        steps = 500 if capacity > 500 else 7
+        cursor = (capacity - steps // 2) % capacity
+        indices = (cursor + np.arange(max(steps - capacity, 0), steps)) % capacity
+        return indices, np.full(len(indices), rng.uniform(0.0, 5.0))
+    elif shape == "one_leaf":
+        indices = rng.integers(0, capacity, size=1)
+    else:  # "empty"
+        indices = np.arange(0)
+    return indices, rng.uniform(0.0, 5.0, size=len(indices))
+
+
+@pytest.mark.parametrize("capacity,write", [
+    (1, 1), (2, 1), (64, 37), (64, 64),
+    *itertools.product([1, 2, 64, 2**17], ["sampled", "episode_across_end", "one_leaf", "empty"]),
+])
+def test_set_many_prefix_equals_sequential_sets(capacity, write):
+    """An int ``write`` writes the first ``write`` leaves of an empty tree in
+    one call, as checkpoint restore does; a named one writes that shape of
+    traffic onto a full tree. Either leaves the bits of the same leaves
+    written one at a time, in order."""
     one_by_one, batched = SumTree(capacity), SumTree(capacity)
-    for i, p in enumerate(priorities):
-        sumtree_set_reference(one_by_one, i, float(p))
-    batched.set_many(np.arange(n), priorities)
+    if isinstance(write, int):
+        indices = np.arange(write)
+        priorities = np.random.default_rng(capacity + write).uniform(0.0, 5.0, size=write)
+    else:
+        rng = np.random.default_rng(capacity)
+        batched.set_many(np.arange(capacity), rng.uniform(0.0, 5.0, size=capacity))
+        one_by_one.nodes[:] = batched.nodes
+        indices, priorities = _traffic_write(capacity, write, rng)
+    for i, p in zip(indices, priorities):
+        sumtree_set_reference(one_by_one, int(i), float(p))
+    batched.set_many(indices, priorities)
     assert np.array_equal(batched.nodes, one_by_one.nodes)
     assert batched.max_leaf == max_leaf_reference(one_by_one)
 
