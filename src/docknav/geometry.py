@@ -21,12 +21,16 @@ Two further ideas, measured:
   about 2.4 x 1.5 us, less than the 4.9 us that building the keep-mask
   costs. With the mask precomputed, the previous cast went only from 69.0
   to 68.8 us.
-- Batching scenes pays only while the batch is small. Per row, 2 to 4
-  scenes per call cost 0.6 to 0.8 of a single cast. From 8 scenes on, a
-  call's temporaries run to hundreds of kilobytes, and whether it
-  page-faults depends on the allocator's heap state: in a fresh process
-  every call faulted (glibc hands the freed heap top back) and a row cost
-  more than a single cast.
+- Batching scenes pays in training, where the task-selection pool is cast
+  16 scenes per call (``world.START_SCAN_CHUNK``). In fresh ``desk_nav.ini``
+  trainers (``workers = 1``, 100-step episodes) such a call took 692 to
+  718 us, 43 to 45 us a scene, against 96 to 102 us for one step's single
+  cast; chunks of 8, 32 and 100 scenes cost 57, 46 and 66 us a scene (one
+  run each). A call's temporaries run to hundreds of kilobytes, yet after
+  a process's first trainer a pool call averaged under 2 minor faults
+  (median 0). Microbenchmarks in a fresh process overstate the cost: there
+  glibc hands the freed heap top back after every call, each call of 8 or
+  more scenes faults, and a row can cost more than a single cast.
 
 Measure again before building on either.
 """
@@ -60,12 +64,6 @@ def rect_corners(cx: float, cy: float, yaw: float, length: float, width: float) 
     c, s = math.cos(yaw), math.sin(yaw)
     rot = np.array([[c, -s], [s, c]])
     return local @ rot.T + np.array([cx, cy])
-
-
-def segments_from_corners(corners: np.ndarray) -> np.ndarray:
-    """Closed polygon edges from a corner list, shape (n, 2, 2)."""
-    nxt = np.roll(corners, -1, axis=0)
-    return np.stack([corners, nxt], axis=1)
 
 
 def aabb_corners(xmin: float, ymin: float, xmax: float, ymax: float) -> np.ndarray:
@@ -196,5 +194,6 @@ def point_aabb_distance(px: float, py: float, xmin: float, ymin: float, xmax: fl
 
 
 def corners_inside_room(corners: np.ndarray, room_w: float, room_l: float) -> bool:
-    x, y = corners[:, 0], corners[:, 1]
-    return bool((x >= 0).all() and (x <= room_w).all() and (y >= 0).all() and (y <= room_l).all())
+    """Whether every corner lies in ``[0, room_w] x [0, room_l]``; a NaN
+    coordinate reads as outside."""
+    return all(0.0 <= x <= room_w and 0.0 <= y <= room_l for x, y in corners.tolist())

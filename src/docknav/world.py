@@ -10,6 +10,7 @@ Only the dolly's legs collide - the frame sits above chassis height.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -191,13 +192,20 @@ class _ObstacleBoxes:
         return any(geometry.rects_overlap(robot_corners, corners) for corners in self.near(x, y))
 
 
-def scene_segments(config: WorldConfig) -> np.ndarray:
-    """Edges of the room walls and of every obstacle box, shape (S, 2, 2)."""
-    room = geometry.aabb_corners(0.0, 0.0, config.room_width, config.room_length)
-    segs = [geometry.segments_from_corners(room)]
-    for ob in config.obstacles:
-        segs.append(geometry.segments_from_corners(geometry.aabb_corners(*ob)))
-    return np.concatenate(segs, axis=0)
+# (xmin, ymin, xmax, ymax) indices of a box's 4 edges, each from a corner of
+# geometry.aabb_corners to the next one
+_BOX_EDGES = np.array([[[2, 3], [0, 3]], [[0, 3], [0, 1]], [[0, 1], [2, 1]], [[2, 1], [2, 3]]])
+
+
+def scene_segments(configs) -> np.ndarray:
+    """Edges of the room walls and of every obstacle box of each config,
+    (len(configs), S, 2, 2), the room's first. A config with fewer obstacles
+    than the most in ``configs`` ends in zero-length segments at the origin,
+    which no ray hits."""
+    empty = ((0.0, 0.0, 0.0, 0.0),) * max(len(cfg.obstacles) for cfg in configs)
+    boxes = np.array([((0.0, 0.0, cfg.room_width, cfg.room_length), *cfg.obstacles,
+                       *empty[len(cfg.obstacles):]) for cfg in configs], dtype=float)
+    return boxes[:, :, _BOX_EDGES].reshape(len(configs), -1, 2, 2)
 
 
 class _RayFan:
@@ -258,7 +266,16 @@ class _RayFan:
         return lidar, frame
 
 
-START_SCAN_CHUNK = 16  # tasks per batched cast: bounds its rays x segments temporaries
+@functools.lru_cache(maxsize=8)
+def _ray_fan(robot: RobotSpec) -> _RayFan:
+    """The one :class:`_RayFan` of each robot: a fan is only ever read."""
+    return _RayFan(robot)
+
+
+# Tasks per batched start cast. It bounds the cast's rays x segments
+# temporaries; in training 16 cost the least per task of 8, 16, 32 and 100
+# (one run each; the cost model is in geometry's docstring).
+START_SCAN_CHUNK = 16
 
 
 def start_observations(configs, robot: RobotSpec | None = None,
@@ -268,29 +285,30 @@ def start_observations(configs, robot: RobotSpec | None = None,
     history, then the start LiDAR scan, then zero action and reward history;
     row i is what ``World(configs[i], robot, dolly, dtype=dtype).reset()``
     returns. Tasks go through :func:`geometry.cast_rays` ``START_SCAN_CHUNK``
-    at a time, each chunk's segment lists zero-padded to its longest; a
-    zero-length segment is never hit.
+    at a time, their segments from :func:`scene_segments`. Each chunk's legs
+    come from one batched ``corners @ rot.T`` product, which gives every
+    pose the bits of :meth:`DollySpec.leg_centers` (``np.einsum`` does not).
     """
     robot = robot or RobotSpec()
     dolly = dolly or DollySpec()
-    fan = _RayFan(robot)
+    fan = _ray_fan(robot)
+    corners = geometry.rect_corners(0.0, 0.0, 0.0, dolly.length, dolly.width)  # dolly frame
     radii = np.full(4, dolly.leg_radius)
     sl = observation_slices(robot)
     obs = np.zeros((len(configs), sl["rewards"].stop), dtype)
     for lo in range(0, len(configs), START_SCAN_CHUNK):
         chunk = configs[lo:lo + START_SCAN_CHUNK]
-        scenes = [scene_segments(cfg) for cfg in chunk]
-        segments = np.zeros((len(chunk), max(len(seg) for seg in scenes), 2, 2))
-        for i, seg in enumerate(scenes):
-            segments[i, :len(seg)] = seg
         points, dx, dy = fan.rays([cfg.robot_start for cfg in chunk])
-        legs = np.stack([dolly.leg_centers(cfg.dolly_pose) for cfg in chunk])
-        dist, is_leg = geometry.cast_rays(points, fan.counts, dx, dy, segments, legs, radii,
-                                          robot.lidar_max_range)
-        lidar, frames = fan.split(dist, is_leg)
+        # per dolly: position, then rotation matrix
+        pose = np.array([(p.x, p.y, math.cos(p.yaw), -math.sin(p.yaw), math.sin(p.yaw),
+                          math.cos(p.yaw)) for p in (cfg.dolly_pose for cfg in chunk)])
+        legs = corners @ pose[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1) + pose[:, None, :2]
+        dist, is_leg = geometry.cast_rays(points, fan.counts, dx, dy, scene_segments(chunk),
+                                          legs, radii, robot.lidar_max_range)
         rows = obs[lo:lo + len(chunk)]
-        rows[:, sl["semantic"]] = np.tile(frames.reshape(len(chunk), -1), HISTORY_LEN)
-        rows[:, sl["lidar"]] = lidar
+        frames = rows[:, sl["semantic"]].reshape(len(chunk), HISTORY_LEN, -1, 2)
+        fan.decode(dist, is_leg, rows[:, sl["lidar"]], frames[:, -1])
+        frames[:, :-1] = frames[:, -1:]  # the start frame fills the whole history
     return obs
 
 
@@ -333,13 +351,13 @@ class World:
     # -- static scene -------------------------------------------------
 
     def _build_static_geometry(self):
-        self._segments = scene_segments(self.config)
+        self._segments = scene_segments([self.config])[0]
         self._leg_centers = self.dolly.leg_centers(self.config.dolly_pose)
         self._leg_radii = np.full(4, self.dolly.leg_radius)
         self._legs = self._leg_centers.tolist()
         self._reach = _collision_reach(self.robot, self.dolly)
         self._obstacles = _ObstacleBoxes(self.config.obstacles, self._reach)
-        self._fan = _RayFan(self.robot)
+        self._fan = _ray_fan(self.robot)
         # each step, every history block drops its oldest entry: (to, from)
         sl = observation_slices(self.robot)
         sem, act, rew = sl["semantic"], sl["actions"], sl["rewards"]
@@ -533,6 +551,18 @@ def task_from_config(config: WorldConfig) -> Task:
     )
 
 
+def _rect_inside_room(x: float, y: float, yaw: float, length: float, width: float,
+                      reach: float, room_w: float, room_l: float) -> bool:
+    """Whether an oriented rectangle lies in the room. A centre at least
+    ``reach`` (at least half the diagonal plus 1e-6, far above the corners'
+    rounding) from every wall settles it as the exact test on
+    :func:`geometry.rect_corners` would; any other centre gets that test."""
+    if reach <= x <= room_w - reach and reach <= y <= room_l - reach:
+        return True
+    return geometry.corners_inside_room(geometry.rect_corners(x, y, yaw, length, width),
+                                        room_w, room_l)
+
+
 def sample_task(
     rng: np.random.Generator,
     config: RunConfig | None = None,
@@ -556,50 +586,60 @@ def sample_task(
     relative_yaw_half = math.radians(config.relative_yaw_half_deg)
     dolly_yaw_half = math.radians(config.dolly_yaw_half_deg)
     jitter = config.position_jitter
+    # an attempt's uniforms in draw order: room width and length, both
+    # jitters, distance, bearing, dolly yaw and robot yaw. Each is
+    # low + (high - low) * u, the expression Generator.uniform evaluates, so
+    # one rng.random(8) gives the bits and stream of eight scalar draws.
+    intervals = [(config.room_min, config.room_max), (config.room_min, config.room_max),
+                 (-jitter, jitter), (-jitter, jitter), (config.distance_min, config.distance_max),
+                 (-bearing_half, bearing_half), (-dolly_yaw_half, dolly_yaw_half),
+                 (-relative_yaw_half, relative_yaw_half)]
+    low = [lo for lo, _ in intervals]
+    span = [hi - lo for lo, hi in intervals]
+    offset_min, side_min = config.obstacle_distance_min, config.obstacle_side_min
+    offset_span = config.obstacle_distance_max - offset_min
+    side_span = config.obstacle_side_max - side_min
+    reach = _collision_reach(robot, dolly)
+    dolly_size = (dolly.length + 2 * dolly.leg_radius, dolly.width + 2 * dolly.leg_radius)
+    dolly_reach = 0.5 * math.hypot(*dolly_size) + 1e-6
     failures = {"pose_outside_room": 0, "start_collides": 0}
     for _ in range(TASK_RETRY_CAP):
-        room_w = rng.uniform(config.room_min, config.room_max)
-        room_l = rng.uniform(config.room_min, config.room_max)
-        rx = 0.5 * room_w + rng.uniform(-jitter, jitter)
-        ry = config.start_anchor_y + rng.uniform(-jitter, jitter)
-        r = rng.uniform(config.distance_min, config.distance_max)
-        bearing = 0.5 * math.pi + rng.uniform(-bearing_half, bearing_half)
+        room_w, room_l, jx, jy, r, d_bearing, d_dolly_yaw, d_yaw = [
+            lo + s * u for lo, s, u in zip(low, span, rng.random(8).tolist())]
+        rx = 0.5 * room_w + jx
+        ry = config.start_anchor_y + jy
+        bearing = 0.5 * math.pi + d_bearing
         dollyx = rx + r * math.cos(bearing)
         dollyy = ry + r * math.sin(bearing)
-        dolly_pose = Pose(dollyx, dollyy, 0.5 * math.pi + rng.uniform(-dolly_yaw_half, dolly_yaw_half))
-        robot_yaw = bearing + rng.uniform(-relative_yaw_half, relative_yaw_half)
+        dolly_pose = Pose(dollyx, dollyy, 0.5 * math.pi + d_dolly_yaw)
+        robot_yaw = bearing + d_yaw
         robot_pose = Pose(rx, ry, robot_yaw)
 
         n_obs = int(rng.integers(config.obstacle_count_min, config.obstacle_count_max + 1))
         obstacles = []
-        for _ in range(n_obs):
-            side = 1.0 if rng.uniform() < 0.5 else -1.0
-            offset = rng.uniform(config.obstacle_distance_min, config.obstacle_distance_max)
-            half = 0.5 * rng.uniform(config.obstacle_side_min, config.obstacle_side_max)
-            ocx = dollyx + side * offset
-            ocy = dollyy
-            obstacles.append((ocx - half, ocy - half, ocx + half, ocy + half))
+        # each obstacle's side, offset and size, drawn as the uniforms above
+        for u_side, u_offset, u_size in rng.random((n_obs, 3)).tolist():
+            side = 1.0 if u_side < 0.5 else -1.0
+            half = 0.5 * (side_min + side_span * u_size)
+            ocx = dollyx + side * (offset_min + offset_span * u_offset)
+            obstacles.append((ocx - half, dollyy - half, ocx + half, dollyy + half))
 
-        scene = WorldConfig(
+        if not (_rect_inside_room(rx, ry, robot_yaw, robot.length, robot.width, reach,
+                                  room_w, room_l)
+                and _rect_inside_room(dollyx, dollyy, dolly_pose.yaw, *dolly_size, dolly_reach,
+                                      room_w, room_l)):
+            failures["pose_outside_room"] += 1
+            continue
+        boxes = _ObstacleBoxes(obstacles, reach)
+        if boxes.near(rx, ry) and boxes.hit(
+                geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width), rx, ry):
+            failures["start_collides"] += 1
+            continue
+        return task_from_config(WorldConfig(
             room_width=room_w,
             room_length=room_l,
             obstacles=tuple(obstacles),
             dolly_pose=dolly_pose,
             robot_start=robot_pose,
-        )
-        robot_corners = geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width)
-        dolly_corners = geometry.rect_corners(
-            dollyx, dollyy, dolly_pose.yaw, dolly.length + 2 * dolly.leg_radius,
-            dolly.width + 2 * dolly.leg_radius,
-        )
-        if not (
-            geometry.corners_inside_room(robot_corners, room_w, room_l)
-            and geometry.corners_inside_room(dolly_corners, room_w, room_l)
-        ):
-            failures["pose_outside_room"] += 1
-            continue
-        if _ObstacleBoxes(obstacles, _collision_reach(robot, dolly)).hit(robot_corners, rx, ry):
-            failures["start_collides"] += 1
-            continue
-        return task_from_config(scene)
+        ))
     raise TaskSamplingError(f"retry cap {TASK_RETRY_CAP} exhausted: {failures}")

@@ -292,6 +292,66 @@ def relative_grad_error(analytic, numeric):
     return worst
 
 
+def sample_task_reference(rng, config, robot=None, dolly=None):
+    """``world.sample_task`` as it drew one scalar ``rng.uniform`` per value,
+    frozen: each attempt draws room width, room length, both jitters,
+    distance, bearing, dolly yaw and robot yaw, then the obstacle count and
+    each obstacle's side, offset and size. The room test reads whole numpy
+    columns and every obstacle gets its exact overlap test."""
+    from docknav import geometry
+    from docknav.world import (TASK_RETRY_CAP, DollySpec, Pose, RobotSpec, TaskSamplingError,
+                               WorldConfig, task_from_config)
+
+    robot = robot or RobotSpec()
+    dolly = dolly or DollySpec()
+    bearing_half = math.radians(config.bearing_half_angle_deg)
+    relative_yaw_half = math.radians(config.relative_yaw_half_deg)
+    dolly_yaw_half = math.radians(config.dolly_yaw_half_deg)
+    jitter = config.position_jitter
+
+    def inside(corners, room_w, room_l):
+        x, y = corners[:, 0], corners[:, 1]
+        return bool((x >= 0).all() and (x <= room_w).all() and (y >= 0).all()
+                    and (y <= room_l).all())
+
+    failures = {"pose_outside_room": 0, "start_collides": 0}
+    for _ in range(TASK_RETRY_CAP):
+        room_w = rng.uniform(config.room_min, config.room_max)
+        room_l = rng.uniform(config.room_min, config.room_max)
+        rx = 0.5 * room_w + rng.uniform(-jitter, jitter)
+        ry = config.start_anchor_y + rng.uniform(-jitter, jitter)
+        r = rng.uniform(config.distance_min, config.distance_max)
+        bearing = 0.5 * math.pi + rng.uniform(-bearing_half, bearing_half)
+        dollyx = rx + r * math.cos(bearing)
+        dollyy = ry + r * math.sin(bearing)
+        dolly_pose = Pose(dollyx, dollyy, 0.5 * math.pi + rng.uniform(-dolly_yaw_half, dolly_yaw_half))
+        robot_yaw = bearing + rng.uniform(-relative_yaw_half, relative_yaw_half)
+        robot_pose = Pose(rx, ry, robot_yaw)
+
+        n_obs = int(rng.integers(config.obstacle_count_min, config.obstacle_count_max + 1))
+        obstacles = []
+        for _ in range(n_obs):
+            side = 1.0 if rng.uniform() < 0.5 else -1.0
+            offset = rng.uniform(config.obstacle_distance_min, config.obstacle_distance_max)
+            half = 0.5 * rng.uniform(config.obstacle_side_min, config.obstacle_side_max)
+            ocx = dollyx + side * offset
+            obstacles.append((ocx - half, dollyy - half, ocx + half, dollyy + half))
+
+        robot_corners = geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width)
+        dolly_corners = geometry.rect_corners(
+            dollyx, dollyy, dolly_pose.yaw, dolly.length + 2 * dolly.leg_radius,
+            dolly.width + 2 * dolly.leg_radius,
+        )
+        if not (inside(robot_corners, room_w, room_l) and inside(dolly_corners, room_w, room_l)):
+            failures["pose_outside_room"] += 1
+            continue
+        if any(geometry.rects_overlap(robot_corners, geometry.aabb_corners(*ob)) for ob in obstacles):
+            failures["start_collides"] += 1
+            continue
+        return task_from_config(WorldConfig(room_w, room_l, tuple(obstacles), dolly_pose, robot_pose))
+    raise TaskSamplingError(f"retry cap {TASK_RETRY_CAP} exhausted: {failures}")
+
+
 def select_task_reference(worker):
     """NavACL-Q task selection with one full World and single-row network
     forwards per candidate, and the chosen task scored again from scratch.

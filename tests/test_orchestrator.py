@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import re
 import subprocess
@@ -179,6 +180,35 @@ def test_select_task_matches_per_task_reference(dtype):
         types.add(task_type)
     assert types == {"easy", "frontier", "random"}
     assert fast.rng.bit_generator.state == reference.rng.bit_generator.state
+
+
+def test_select_task_casts_pool_in_chunks_and_each_trial_once(monkeypatch):
+    # a structural guard, not a timing: the pool goes through one cast per
+    # START_SCAN_CHUNK tasks and every band trial through exactly one cast
+    trainer = make_trainer(candidate_pool=100)
+    worker = Worker(0, 7, trainer)
+    sampled, casts = [0], []
+    sample_task, cast_rays = world.sample_task, world.geometry.cast_rays
+
+    def counted_sample_task(*args, **kwargs):
+        sampled[0] += 1
+        return sample_task(*args, **kwargs)
+
+    def counted_cast_rays(points, *args, **kwargs):
+        casts.append(len(points) if points.ndim == 3 else 1)  # scenes in this call
+        return cast_rays(points, *args, **kwargs)
+
+    monkeypatch.setattr(world, "sample_task", counted_sample_task)
+    monkeypatch.setattr(world.geometry, "cast_rays", counted_cast_rays)
+    selections = 20
+    for _ in range(selections):
+        worker.select_task()
+    pool_tasks = selections * 100
+    trials = sampled[0] - pool_tasks
+    assert trials >= selections and sum(casts) == sampled[0]
+    pool_casts = selections * math.ceil(100 / world.START_SCAN_CHUNK)
+    assert len(casts) == pool_casts + trials
+    assert casts.count(1) == trials
 
 
 # -- distribution -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from _oracles import (
     lidar_ray_geometry,
     raycast_oracle_many,
     ray_fan_reference,
+    sample_task_reference,
     scene_primitives,
     semantic_ray_geometry,
     step_reference,
@@ -591,10 +593,43 @@ def test_sample_task_stream_is_pinned():
     assert digest.hexdigest() == TASK_STREAM_SHA256
 
 
+SAMPLER_CONFIGS = {
+    "default": RunConfig(),
+    "desk_nav.ini": parse_config(CONFIGS / "desk_nav.ini"),
+    "desk_nav_obstacles.ini": parse_config(CONFIGS / "desk_nav_obstacles.ini"),
+    # a zero-width uniform still draws; a zero-range integers call draws nothing
+    "zero_width": config_overrides(RunConfig(), position_jitter=0.0, relative_yaw_half_deg=0.0,
+                                   obstacle_count_min=2, obstacle_count_max=2),
+    # robot and dolly often within reach of a wall: the exact corner test
+    # decides, both ways, about 4000 times in 2000 draws
+    "near_walls": config_overrides(RunConfig(), room_min=5.0, room_max=6.0, distance_min=2.5,
+                                   distance_max=4.5, position_jitter=1.0, start_anchor_y=0.9),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLER_CONFIGS)
+def test_sample_task_equals_scalar_draw_reference(name):
+    # 2000 tasks, each equal to the one the frozen scalar-draw loop returns,
+    # and the same generator state after them
+    config = SAMPLER_CONFIGS[name]
+    fast, reference = np.random.default_rng(61), np.random.default_rng(61)
+    for _ in range(2000):
+        assert sample_task(fast, config) == sample_task_reference(reference, config)
+    assert fast.bit_generator.state == reference.bit_generator.state
+
+
 def test_sample_task_retry_exhaustion():
     config = RunConfig(room_min=8, room_max=8, distance_min=7.5, distance_max=7.6)
-    with pytest.raises(TaskSamplingError, match="retry cap"):
+    with pytest.raises(TaskSamplingError, match="retry cap") as raised:
         sample_task(np.random.default_rng(0), config)
+    with pytest.raises(TaskSamplingError) as expected:
+        sample_task_reference(np.random.default_rng(0), config)
+    # the message keeps the per-reason failure counts of every attempt
+    assert str(raised.value) == str(expected.value)
+    assert re.fullmatch(r"retry cap 100 exhausted: \{'pose_outside_room': \d+, "
+                        r"'start_collides': \d+\}", str(raised.value))
+    counts = [int(n) for n in re.findall(r": (\d+)", str(raised.value))]
+    assert sum(counts) == 100
 
 
 def test_dolly_yaw_jitter_within_bounds():
