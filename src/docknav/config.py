@@ -192,7 +192,9 @@ def _validate(cfg: RunConfig) -> list[str]:
         check(getattr(cfg, lo) <= getattr(cfg, hi), f"world.{lo} must be <= world.{hi}")
     check(cfg.distance_min > 0, "world.distance_min must be positive")
     check(cfg.obstacle_count_min >= 0, "world.obstacle_count_min must be >= 0")
-    check(cfg.position_jitter >= 0, "world.position_jitter must be >= 0")
+    for key in ("position_jitter", "bearing_half_angle_deg", "relative_yaw_half_deg",
+                "dolly_yaw_half_deg"):
+        check(getattr(cfg, key) >= 0, f"world.{key} must be >= 0")
 
     check(0.0 < cfg.gamma <= 1.0, f"sac.gamma must lie in (0, 1], got {cfg.gamma}")
     for key in ("critic_lr", "actor_lr", "alpha_lr", "initial_alpha", "tanh_eps"):

@@ -22,15 +22,11 @@ Two further ideas, measured:
   costs. With the mask precomputed, the previous cast went only from 69.0
   to 68.8 us.
 - Batching scenes pays in training, where the task-selection pool is cast
-  16 scenes per call (``world.START_SCAN_CHUNK``). In fresh ``desk_nav.ini``
-  trainers (``workers = 1``, 100-step episodes) such a call took 692 to
-  718 us, 43 to 45 us a scene, against 96 to 102 us for one step's single
-  cast; chunks of 8, 32 and 100 scenes cost 57, 46 and 66 us a scene (one
-  run each). A call's temporaries run to hundreds of kilobytes, yet after
-  a process's first trainer a pool call averaged under 2 minor faults
-  (median 0). Microbenchmarks in a fresh process overstate the cost: there
-  glibc hands the freed heap top back after every call, each call of 8 or
-  more scenes faults, and a row can cost more than a single cast.
+  16 scenes per call (``world.START_SCAN_CHUNK``): in ``desk_nav.ini``
+  trainers such a call took 43 to 45 us a scene against 96 to 102 us for a
+  single cast, and after a process's first trainer it averaged under 2
+  minor faults. Fresh-process microbenchmarks, where glibc hands the freed
+  heap top back after every call, overstate its cost.
 
 Measure again before building on either.
 """
@@ -194,6 +190,5 @@ def point_aabb_distance(px: float, py: float, xmin: float, ymin: float, xmax: fl
 
 
 def corners_inside_room(corners: np.ndarray, room_w: float, room_l: float) -> bool:
-    """Whether every corner lies in ``[0, room_w] x [0, room_l]``; a NaN
-    coordinate reads as outside."""
+    """Whether every corner lies in the room; a NaN coordinate reads as outside."""
     return all(0.0 <= x <= room_w and 0.0 <= y <= room_l for x, y in corners.tolist())

@@ -10,7 +10,6 @@ Only the dolly's legs collide - the frame sits above chassis height.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -192,16 +191,14 @@ class _ObstacleBoxes:
         return any(geometry.rects_overlap(robot_corners, corners) for corners in self.near(x, y))
 
 
-# (xmin, ymin, xmax, ymax) indices of a box's 4 edges, each from a corner of
-# geometry.aabb_corners to the next one
+# (xmin, ymin, xmax, ymax) indices of a box's edges, each from an aabb_corners corner to the next
 _BOX_EDGES = np.array([[[2, 3], [0, 3]], [[0, 3], [0, 1]], [[0, 1], [2, 1]], [[2, 1], [2, 3]]])
 
 
 def scene_segments(configs) -> np.ndarray:
-    """Edges of the room walls and of every obstacle box of each config,
-    (len(configs), S, 2, 2), the room's first. A config with fewer obstacles
-    than the most in ``configs`` ends in zero-length segments at the origin,
-    which no ray hits."""
+    """Edges of each config's room walls, then its obstacle boxes, shape
+    (len(configs), S, 2, 2); scenes with fewer obstacles are padded with
+    zero-length segments, which no ray hits."""
     empty = ((0.0, 0.0, 0.0, 0.0),) * max(len(cfg.obstacles) for cfg in configs)
     boxes = np.array([((0.0, 0.0, cfg.room_width, cfg.room_length), *cfg.obstacles,
                        *empty[len(cfg.obstacles):]) for cfg in configs], dtype=float)
@@ -266,15 +263,8 @@ class _RayFan:
         return lidar, frame
 
 
-@functools.lru_cache(maxsize=8)
-def _ray_fan(robot: RobotSpec) -> _RayFan:
-    """The one :class:`_RayFan` of each robot: a fan is only ever read."""
-    return _RayFan(robot)
-
-
-# Tasks per batched start cast. It bounds the cast's rays x segments
-# temporaries; in training 16 cost the least per task of 8, 16, 32 and 100
-# (one run each; the cost model is in geometry's docstring).
+# tasks per batched start cast: bounds its rays x segments temporaries. In desk
+# training a scene cost 43-45 us at 16 against 57, 46 and 66 us at 8, 32 and 100
 START_SCAN_CHUNK = 16
 
 
@@ -285,24 +275,18 @@ def start_observations(configs, robot: RobotSpec | None = None,
     history, then the start LiDAR scan, then zero action and reward history;
     row i is what ``World(configs[i], robot, dolly, dtype=dtype).reset()``
     returns. Tasks go through :func:`geometry.cast_rays` ``START_SCAN_CHUNK``
-    at a time, their segments from :func:`scene_segments`. Each chunk's legs
-    come from one batched ``corners @ rot.T`` product, which gives every
-    pose the bits of :meth:`DollySpec.leg_centers` (``np.einsum`` does not).
+    at a time, their segments from :func:`scene_segments`.
     """
     robot = robot or RobotSpec()
     dolly = dolly or DollySpec()
-    fan = _ray_fan(robot)
-    corners = geometry.rect_corners(0.0, 0.0, 0.0, dolly.length, dolly.width)  # dolly frame
+    fan = _RayFan(robot)
     radii = np.full(4, dolly.leg_radius)
     sl = observation_slices(robot)
     obs = np.zeros((len(configs), sl["rewards"].stop), dtype)
     for lo in range(0, len(configs), START_SCAN_CHUNK):
         chunk = configs[lo:lo + START_SCAN_CHUNK]
         points, dx, dy = fan.rays([cfg.robot_start for cfg in chunk])
-        # per dolly: position, then rotation matrix
-        pose = np.array([(p.x, p.y, math.cos(p.yaw), -math.sin(p.yaw), math.sin(p.yaw),
-                          math.cos(p.yaw)) for p in (cfg.dolly_pose for cfg in chunk)])
-        legs = corners @ pose[:, 2:].reshape(-1, 2, 2).transpose(0, 2, 1) + pose[:, None, :2]
+        legs = np.stack([dolly.leg_centers(cfg.dolly_pose) for cfg in chunk])
         dist, is_leg = geometry.cast_rays(points, fan.counts, dx, dy, scene_segments(chunk),
                                           legs, radii, robot.lidar_max_range)
         rows = obs[lo:lo + len(chunk)]
@@ -357,7 +341,7 @@ class World:
         self._legs = self._leg_centers.tolist()
         self._reach = _collision_reach(self.robot, self.dolly)
         self._obstacles = _ObstacleBoxes(self.config.obstacles, self._reach)
-        self._fan = _ray_fan(self.robot)
+        self._fan = _RayFan(self.robot)
         # each step, every history block drops its oldest entry: (to, from)
         sl = observation_slices(self.robot)
         sem, act, rew = sl["semantic"], sl["actions"], sl["rewards"]
@@ -551,18 +535,6 @@ def task_from_config(config: WorldConfig) -> Task:
     )
 
 
-def _rect_inside_room(x: float, y: float, yaw: float, length: float, width: float,
-                      reach: float, room_w: float, room_l: float) -> bool:
-    """Whether an oriented rectangle lies in the room. A centre at least
-    ``reach`` (at least half the diagonal plus 1e-6, far above the corners'
-    rounding) from every wall settles it as the exact test on
-    :func:`geometry.rect_corners` would; any other centre gets that test."""
-    if reach <= x <= room_w - reach and reach <= y <= room_l - reach:
-        return True
-    return geometry.corners_inside_room(geometry.rect_corners(x, y, yaw, length, width),
-                                        room_w, room_l)
-
-
 def sample_task(
     rng: np.random.Generator,
     config: RunConfig | None = None,
@@ -586,22 +558,17 @@ def sample_task(
     relative_yaw_half = math.radians(config.relative_yaw_half_deg)
     dolly_yaw_half = math.radians(config.dolly_yaw_half_deg)
     jitter = config.position_jitter
-    # an attempt's uniforms in draw order: room width and length, both
-    # jitters, distance, bearing, dolly yaw and robot yaw. Each is
-    # low + (high - low) * u, the expression Generator.uniform evaluates, so
-    # one rng.random(8) gives the bits and stream of eight scalar draws.
-    intervals = [(config.room_min, config.room_max), (config.room_min, config.room_max),
-                 (-jitter, jitter), (-jitter, jitter), (config.distance_min, config.distance_max),
-                 (-bearing_half, bearing_half), (-dolly_yaw_half, dolly_yaw_half),
-                 (-relative_yaw_half, relative_yaw_half)]
-    low = [lo for lo, _ in intervals]
-    span = [hi - lo for lo, hi in intervals]
+    # each attempt draws one rng.random(8) for, in the old scalar-draw order,
+    # room width and length, both jitters, distance, bearing, dolly yaw and
+    # robot yaw; low + (high - low) * u is what Generator.uniform computes
+    low = [config.room_min] * 2 + [-jitter] * 2 + [
+        config.distance_min, -bearing_half, -dolly_yaw_half, -relative_yaw_half]
+    span = [config.room_max - config.room_min] * 2 + [2 * jitter] * 2 + [
+        config.distance_max - config.distance_min, 2 * bearing_half, 2 * dolly_yaw_half,
+        2 * relative_yaw_half]
     offset_min, side_min = config.obstacle_distance_min, config.obstacle_side_min
     offset_span = config.obstacle_distance_max - offset_min
     side_span = config.obstacle_side_max - side_min
-    reach = _collision_reach(robot, dolly)
-    dolly_size = (dolly.length + 2 * dolly.leg_radius, dolly.width + 2 * dolly.leg_radius)
-    dolly_reach = 0.5 * math.hypot(*dolly_size) + 1e-6
     failures = {"pose_outside_room": 0, "start_collides": 0}
     for _ in range(TASK_RETRY_CAP):
         room_w, room_l, jx, jy, r, d_bearing, d_dolly_yaw, d_yaw = [
@@ -624,22 +591,26 @@ def sample_task(
             ocx = dollyx + side * (offset_min + offset_span * u_offset)
             obstacles.append((ocx - half, dollyy - half, ocx + half, dollyy + half))
 
-        if not (_rect_inside_room(rx, ry, robot_yaw, robot.length, robot.width, reach,
-                                  room_w, room_l)
-                and _rect_inside_room(dollyx, dollyy, dolly_pose.yaw, *dolly_size, dolly_reach,
-                                      room_w, room_l)):
-            failures["pose_outside_room"] += 1
-            continue
-        boxes = _ObstacleBoxes(obstacles, reach)
-        if boxes.near(rx, ry) and boxes.hit(
-                geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width), rx, ry):
-            failures["start_collides"] += 1
-            continue
-        return task_from_config(WorldConfig(
+        scene = WorldConfig(
             room_width=room_w,
             room_length=room_l,
             obstacles=tuple(obstacles),
             dolly_pose=dolly_pose,
             robot_start=robot_pose,
-        ))
+        )
+        robot_corners = geometry.rect_corners(rx, ry, robot_yaw, robot.length, robot.width)
+        dolly_corners = geometry.rect_corners(
+            dollyx, dollyy, dolly_pose.yaw, dolly.length + 2 * dolly.leg_radius,
+            dolly.width + 2 * dolly.leg_radius,
+        )
+        if not (
+            geometry.corners_inside_room(robot_corners, room_w, room_l)
+            and geometry.corners_inside_room(dolly_corners, room_w, room_l)
+        ):
+            failures["pose_outside_room"] += 1
+            continue
+        if _ObstacleBoxes(obstacles, _collision_reach(robot, dolly)).hit(robot_corners, rx, ry):
+            failures["start_collides"] += 1
+            continue
+        return task_from_config(scene)
     raise TaskSamplingError(f"retry cap {TASK_RETRY_CAP} exhausted: {failures}")

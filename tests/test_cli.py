@@ -85,7 +85,10 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
                       ("[run]\nvariant = 50%\n", "variant"),
                       ("[eval]\norientations_deg = 0.0, 0.4\n", "round to the same whole degree"),
                       ("[run]\nseeds = 1, 1\n", "run.seeds"),
-                      ("[run]\nseeds = -1\n", "run.seeds")):
+                      ("[run]\nseeds = -1\n", "run.seeds"),
+                      ("[world]\nbearing_half_angle_deg = -1\n", "world.bearing_half_angle_deg"),
+                      ("[world]\nrelative_yaw_half_deg = -1\n", "world.relative_yaw_half_deg"),
+                      ("[world]\ndolly_yaw_half_deg = -0.5\n", "world.dolly_yaw_half_deg")):
         bad = tmp_path / "bad.ini"
         bad.write_text(text)
         rc = cli.main(["train", "--config", str(bad), "--out", str(tmp_path / "x")])

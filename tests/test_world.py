@@ -600,8 +600,8 @@ SAMPLER_CONFIGS = {
     # a zero-width uniform still draws; a zero-range integers call draws nothing
     "zero_width": config_overrides(RunConfig(), position_jitter=0.0, relative_yaw_half_deg=0.0,
                                    obstacle_count_min=2, obstacle_count_max=2),
-    # robot and dolly often within reach of a wall: the exact corner test
-    # decides, both ways, about 4000 times in 2000 draws
+    # a small room: robot and dolly often lie near a wall, and many attempts
+    # fail the inside-room corner test
     "near_walls": config_overrides(RunConfig(), room_min=5.0, room_max=6.0, distance_min=2.5,
                                    distance_max=4.5, position_jitter=1.0, start_anchor_y=0.9),
 }
