@@ -104,14 +104,16 @@ class _Buffers:
     over one number of rows, per layer: the pre-activation, the output (the
     pre-activation itself for an identity layer), boolean scratch of their
     shape, and the gradient of the layer's input, which the backward pass
-    also carries through the activation below it."""
+    also carries through the activation below it. The gradient of the
+    network's input (layer 0's) is made by the first pass that asks for it;
+    a network that is never asked, as the actor, holds none."""
 
     def __init__(self, net: "DenseNet", rows: int):
         self.pre = [np.empty((rows, n), net.dtype) for n in net.layer_sizes[1:]]
         self.outputs = [z if act == "identity" else np.empty_like(z)
                         for z, act in zip(self.pre, net.activations)]
         self.mask = [np.empty(z.shape, bool) for z in self.pre]
-        self.d_input = [np.empty((rows, n), net.dtype) for n in net.layer_sizes[:-1]]
+        self.d_input = [None, *(np.empty((rows, n), net.dtype) for n in net.layer_sizes[1:-1])]
 
 
 class DenseNet:
@@ -221,6 +223,8 @@ class DenseNet:
                 np.matmul(tape.inputs[l].T, g, out=d_weights[l])
                 g.sum(axis=0, out=d_biases[l])
             if l or wrt_input:  # at layer 0 this product is the input gradient
+                if buffers.d_input[l] is None:
+                    buffers.d_input[l] = np.empty((len(g), self.in_dim), self.dtype)
                 g = np.matmul(g, self.weights[l].T, out=buffers.d_input[l])
         return Gradients(d_flat, g if wrt_input else None)
 
@@ -258,11 +262,10 @@ class AdamState:
         self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
 
-def adam_step(params, grads, state: AdamState):
-    """One in-place Adam update; raises :class:`GradientError` on non-finite
-    gradients so a diverging run dies instead of silently corrupting weights.
-    Each gradient has its parameter's shape and dtype; the arithmetic runs in
-    the state's scratch and allocates nothing the size of a parameter."""
+def check_grads(params, grads, state: AdamState) -> None:
+    """Raise :class:`GradientError` unless every gradient is finite, and
+    ValueError unless each has its parameter's shape and dtype; the check
+    :func:`adam_step` makes before it writes anything, in the state's scratch."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ValueError("params/grads/state length mismatch")
     for p, g, (finite, _) in zip(params, grads, state._scratch):
@@ -270,6 +273,14 @@ def adam_step(params, grads, state: AdamState):
             raise ValueError(f"gradient {g.dtype} {g.shape} for a parameter {p.dtype} {p.shape}")
         if not np.isfinite(g, out=finite).all():  # 1.0 where finite, else 0.0
             raise GradientError("non-finite gradient in adam_step")
+
+
+def adam_step(params, grads, state: AdamState):
+    """One in-place Adam update; raises :class:`GradientError` on non-finite
+    gradients so a diverging run dies instead of silently corrupting weights.
+    Each gradient has its parameter's shape and dtype; the arithmetic runs in
+    the state's scratch and allocates nothing the size of a parameter."""
+    check_grads(params, grads, state)
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1**t

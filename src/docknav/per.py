@@ -34,8 +34,9 @@ class SumTree:
     Leaves live at indices [capacity-1, 2*capacity-1) of a flat array; every
     internal node stores the sum of its children. ``set_many`` is the one way
     to write leaves: it repairs their ancestors in one loop, a level per pass,
-    for one leaf, an episode, a sampled batch with repeats or a full rebuild
-    alike. ``find_prefix_batch`` descends from the root for a whole batch of
+    for one leaf, an episode or a sampled batch with repeats alike. A
+    restore, which writes every leaf from outside, sums the inner nodes with
+    ``sum_levels``. ``find_prefix_batch`` descends from the root for a whole batch of
     values at once, in O(log n) vectorized steps. ``max_leaf`` scans the
     leaves; the replay reads it once per episode, far less often than it
     writes priorities, so no tree of maxima is kept up to date.
@@ -76,6 +77,21 @@ class SumTree:
             nodes = (nodes - 1) // 2
             left = 2 * nodes + 1
             self.nodes[nodes] = self.nodes[left] + self.nodes[left + 1]
+
+    def sum_levels(self) -> None:
+        """Set every inner node to the sum of its children, one level per
+        pass from the leaves up: the tree above leaves written from outside,
+        as a checkpoint restore writes them. On a tree whose inner nodes were
+        zero this leaves the bits ``set_many`` leaves over the leaves written
+        (an inner node above none of them sums to zero)."""
+        nodes = self.nodes
+        if nodes[self.capacity - 1 :].min() < 0:
+            raise ValueError("priority must be non-negative")
+        lo, hi = self.capacity // 2 - 1, self.capacity - 1  # the level above the leaves
+        while hi:
+            np.add(nodes[2 * lo + 1 : 2 * hi + 1 : 2], nodes[2 * lo + 2 : 2 * hi + 2 : 2],
+                   out=nodes[lo:hi])
+            lo, hi = lo // 2, lo
 
     def find_prefix_batch(self, values: np.ndarray) -> np.ndarray:
         """For each value, the smallest leaf index whose cumulative sum reaches it."""
@@ -238,8 +254,7 @@ class PrioritizedReplay:
         after ``size``, ``cursor``, the stored arrays, the first ``size``
         leaves and the final observations (oldest first) were written from
         outside, as a checkpoint restore does."""
-        n, tree = self.size, self.tree
-        tree.set_many(np.arange(n), tree.nodes[tree.capacity - 1 :][:n])
+        self.tree.sum_levels()
         ends = np.flatnonzero(self.ends)
         if len(ends) != self.final_count:
             raise ValueError(f"replay holds {len(ends)} episode ends "

@@ -15,7 +15,7 @@ import pytest
 
 from docknav import curriculum, orchestrator, world
 from docknav.config import ConfigError, RunConfig
-from docknav.nn import CheckpointError, read_checkpoint, write_checkpoint
+from docknav.nn import CheckpointError, GradientError, read_checkpoint, write_checkpoint
 from docknav.orchestrator import (
     Trainer,
     Worker,
@@ -27,7 +27,7 @@ from docknav.orchestrator import (
 from docknav.per import Episode
 from docknav.world import RobotSpec
 
-from _oracles import select_task_reference
+from _oracles import sac_update_reference, select_task_reference
 
 TINY_ROBOT = RobotSpec(lidar_beams_per_sensor=8, semantic_rays=4)
 
@@ -267,6 +267,48 @@ def test_finished_trainer_freed_without_cycle_collection(tmp_path):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def desk_trainer(out_dir=None):
+    """A trainer of the desk learner's sizes (524 observations, batches of
+    256, two hidden layers of 128, float32), its replay filled with 300
+    random transitions, so each update pairs its critics' passes."""
+    config = RunConfig(variant="random_starts", workers=1, replay_capacity=1024, batch_size=256,
+                       hidden=(128, 128), dtype="float32")
+    trainer = Trainer(config, seed=7, out_dir=out_dir)
+    push_random_episodes(trainer.replay, np.random.default_rng(8), [100, 100, 100])
+    return trainer
+
+
+def test_desk_trainer_freed_after_the_helper_ran_its_jobs():
+    # the helper thread keeps nothing of its last job, so the critics whose
+    # passes it ran die with the trainer
+    gc.disable()
+    try:
+        trainer = desk_trainer()
+        assert trainer.run_update() and trainer.run_update()
+        refs = [weakref.ref(obj) for obj in (trainer, trainer.learner, trainer.learner.critics)]
+        del trainer
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("poisoned", ["q1", "q2"])
+def test_abort_checkpoint_holds_the_serial_orders_state(tmp_path, poisoned):
+    files = []
+    for run in ("paired", "reference"):
+        trainer = desk_trainer(out_dir=tmp_path / run)
+        if run == "reference":
+            learner = trainer.learner
+            trainer.learner.update = lambda *batch: sac_update_reference(learner, *batch)
+        assert trainer.run_update()
+        getattr(trainer.learner.critics, poisoned).weights[0][0, 0] = np.nan
+        with pytest.raises(GradientError):
+            trainer.run_update()
+        trainer.close_logs()
+        files.append((tmp_path / run / "abort.ckpt").read_bytes())
+    assert files[0] == files[1]
 
 
 def test_idle_when_buffer_below_batch():

@@ -142,6 +142,26 @@ def test_set_many_prefix_equals_sequential_sets(capacity, write):
     assert batched.max_leaf == max_leaf_reference(one_by_one)
 
 
+@pytest.mark.parametrize("capacity,written", [(1, 1), (2, 1), (64, 37), (2**15, 20000),
+                                              (2**15, 2**15)])
+def test_sum_levels_equals_set_many_over_the_leaves_written(capacity, written):
+    # the first ``written`` leaves of an empty tree, as a restore writes them;
+    # a partial ring leaves inner nodes above no written leaf, which stay zero
+    leaves = np.random.default_rng(written).uniform(0.0, 5.0, size=written)
+    summed, repaired = SumTree(capacity), SumTree(capacity)
+    summed.nodes[capacity - 1 :][:written] = leaves
+    summed.sum_levels()
+    repaired.set_many(np.arange(written), leaves)
+    assert summed.nodes.tobytes() == repaired.nodes.tobytes()
+
+
+def test_sum_levels_rejects_a_negative_leaf():
+    tree = SumTree(8)
+    tree.nodes[7:] = [1.0, 2.0, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="non-negative"):
+        tree.sum_levels()
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 64])
 def test_empty_priority_update_changes_nothing(capacity):
     buf = PrioritizedReplay(capacity, obs_dim=1)
@@ -166,7 +186,7 @@ def test_max_leaf_tracks_current_maximum():
     # a tree restored from its leaves, as a checkpoint restore writes them
     restored = SumTree(8)
     restored.nodes[7:] = tree.leaves()
-    restored.set_many(np.arange(8), restored.nodes[7:])
+    restored.sum_levels()
     assert restored.max_leaf == 3.0 and restored.nodes.tobytes() == tree.nodes.tobytes()
 
 

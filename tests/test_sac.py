@@ -1,11 +1,19 @@
 import math
+import os
+import shutil
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from docknav.config import RunConfig
-from docknav.nn import net_grads_list
+from docknav.nn import GradientError, net_grads_list
 from docknav.sac import (
     Actor,
     CriticPair,
@@ -384,3 +392,160 @@ def test_desk_size_update_keeps_its_working_arrays():
         tracemalloc.stop()
     assert peak < 1.5e6, f"one update peaked at {peak / 1e6:.2f} MB"
     assert grown <= 0, f"10 updates kept {grown} more bytes of arrays"
+
+
+# -- the twin passes on two threads --------------------------------------------
+
+DESK_OBS, DESK_BATCH = 524, 256  # the desk learner's sizes, above the pairing gate
+PAIRED = len(os.sched_getaffinity(0)) > 1
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def helper_alive():
+    return any(t.name == "docknav-critic" for t in threading.enumerate())
+
+
+def desk_learner(seed, **overrides):
+    cfg = RunConfig(hidden=(128, 128), batch_size=DESK_BATCH, **overrides)
+    return SacLearner(DESK_OBS, ACT_DIM, cfg, np.random.default_rng(seed), dtype=np.float32)
+
+
+def desk_batch(data):
+    """One batch as the replay hands it out at the desk learner's sizes."""
+    return (data.normal(size=(DESK_BATCH, DESK_OBS)).astype(np.float32),
+            data.uniform(-1.0, 1.0, size=(DESK_BATCH, ACT_DIM)).astype(np.float32),
+            data.normal(size=DESK_BATCH).astype(np.float32),
+            data.uniform(size=DESK_BATCH) < 0.2,
+            data.normal(size=(DESK_BATCH, DESK_OBS)).astype(np.float32),
+            data.uniform(0.1, 1.0, size=DESK_BATCH))
+
+
+def test_desk_size_update_bitwise_equals_reference():
+    # the paired path: every pass of both critics is above the gate
+    learner = desk_learner(41, target_update_interval=2)
+    reference = desk_learner(41, target_update_interval=2)
+    data = np.random.default_rng(42)
+    rng, ref_rng = np.random.default_rng(43), np.random.default_rng(43)
+    for _ in range(5):  # two hard copies, then the critics move on
+        batch = desk_batch(data)
+        td, metrics = learner.update(*batch, rng)
+        td_ref, metrics_ref = sac_update_reference(reference, *batch, ref_rng)
+        assert (td.dtype, td.tobytes()) == (td_ref.dtype, td_ref.tobytes())
+        assert {k: float.hex(v) for k, v in metrics.items()} == \
+            {k: float.hex(v) for k, v in metrics_ref.items()}
+    assert _learner_state(learner) == _learner_state(reference)
+    assert not np.array_equal(learner.critics.q1.weights[0], learner.critics.target_q1.weights[0])
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert helper_alive() == PAIRED
+
+
+@pytest.mark.parametrize("poisoned", [("q1",), ("q2",), ("q1", "q2")])
+def test_non_finite_critic_gradient_fails_as_in_turn(poisoned):
+    # q1's failure leaves q2 unstepped, q2's leaves q1 stepped, and when both
+    # fail q1's is raised with neither stepped: the serial order's states
+    learner, reference = desk_learner(51), desk_learner(51)
+    for sac in (learner, reference):
+        for name in poisoned:  # a NaN weight makes every gradient of that critic NaN
+            getattr(sac.critics, name).weights[0][0, 0] = np.nan
+    batch = desk_batch(np.random.default_rng(52))
+    rng, ref_rng = np.random.default_rng(53), np.random.default_rng(53)
+    with pytest.raises(GradientError):
+        learner.update(*batch, rng)
+    with pytest.raises(GradientError):
+        sac_update_reference(reference, *batch, ref_rng)
+    assert _learner_state(learner) == _learner_state(reference)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    stepped = [learner.adam_q1.step_count, learner.adam_q2.step_count]
+    assert stepped == {("q1",): [0, 0], ("q2",): [1, 0], ("q1", "q2"): [0, 0]}[poisoned]
+
+
+def fail(exc):
+    raise exc
+
+
+def test_pair_waits_for_the_helper_and_raises_q1s_exception_first():
+    critics = CriticPair(DESK_OBS, ACT_DIM, (128, 128), np.random.default_rng(61), np.float32)
+    where = []
+
+    def second(exc=None):
+        time.sleep(0.05)
+        where.append(threading.get_ident())
+        if exc:
+            raise exc
+
+    assert critics.both(DESK_BATCH, lambda: 1, second) == (1, None)
+    assert (where.pop() != threading.get_ident()) == PAIRED
+    with pytest.raises(ValueError, match="q1"):
+        critics.both(DESK_BATCH, lambda: fail(ValueError("q1")), lambda: second(KeyError("q2")))
+    assert len(where) == 1  # the second pass had ended before the first's exception
+    with pytest.raises(KeyError, match="q2"):  # raised on the helper, surfaced here
+        critics.both(DESK_BATCH, lambda: 1, lambda: second(KeyError("q2")))
+    # a pass too small for the handoff runs in turn, on this thread
+    assert critics.both(1, lambda: 1, lambda: threading.get_ident()) == (1, threading.get_ident())
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_no_thread_at_import_toy_size_grid_eval_or_one_cpu():
+    done = run_python("""
+        import os, threading
+        import numpy as np
+        import docknav.cli
+        from docknav.config import RunConfig
+        from docknav.grid_eval import GridEvalConfig, run_grid_eval
+        from docknav.sac import SacLearner
+
+        def python_threads():
+            return [t.name for t in threading.enumerate() if t is not threading.main_thread()]
+
+        def updates(obs_dim, batch, hidden, dtype):
+            learner = SacLearner(obs_dim, 2, RunConfig(hidden=hidden, batch_size=batch),
+                                 np.random.default_rng(1), dtype=dtype)
+            data, rng = np.random.default_rng(2), np.random.default_rng(3)
+            for _ in range(3):
+                learner.update(data.normal(size=(batch, obs_dim)).astype(dtype),
+                               data.uniform(-1, 1, size=(batch, 2)).astype(dtype),
+                               data.normal(size=batch), np.zeros(batch, bool),
+                               data.normal(size=(batch, obs_dim)).astype(dtype),
+                               np.ones(batch), rng)
+
+        assert python_threads() == [], python_threads()
+        updates(30, 32, (48,), np.float64)
+        grid = GridEvalConfig(grid_extent=1.0, grid_cell=0.5, orientations_deg=(0.0,),
+                              repeats=1, grid_offset=1.0, room_side=14.0)
+        run_grid_eval(lambda obs: np.array([1.0, 0.0]), grid, step_limit=20)
+        assert python_threads() == [], python_threads()
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        updates(524, 256, (128, 128), np.float32)
+        assert python_threads() == [], python_threads()
+        print("no thread")
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "no thread"
+
+
+def test_benchmark_run_with_a_live_helper_exits_promptly(tmp_path):
+    # the helper is a daemon thread: waiting for its next job, it does not
+    # keep the interpreter alive once the main thread ends. One desk
+    # train_sync round of the benchmark, in a copy of the tree; the threads
+    # alive at exit are printed after the result line.
+    root = Path(SRC).parent
+    skip = shutil.ignore_patterns("out", "__pycache__")
+    for name in ("src", "configs", "perfbench"):
+        shutil.copytree(root / name, tmp_path / name, ignore=skip)
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    code = """
+        import atexit, runpy, sys, threading
+        atexit.register(lambda: print(sorted(t.name for t in threading.enumerate())))
+        sys.argv = ["run.py", "--workload", "train_sync", "--seconds", "0", "--trace", "0"]
+        runpy.run_path("perfbench/run.py", run_name="__main__")
+    """
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    threads = ["MainThread", "docknav-critic"] if PAIRED else ["MainThread"]
+    assert done.stdout.splitlines()[-1] == str(threads)
