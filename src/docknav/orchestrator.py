@@ -400,6 +400,15 @@ def _entry(meta, key: str, kind: type, path):
     return value
 
 
+def _count(meta, key: str, kind: type, path):
+    """``_entry(meta, key, kind, path)``, a counter: :class:`nn.CheckpointError`
+    names the file and the key when it is negative."""
+    value = _entry(meta, key, kind, path)
+    if value < 0:
+        raise nn.CheckpointError(f"{path}: checkpoint metadata {key!r} is negative: {value}")
+    return value
+
+
 def _spec(meta, key: str, cls: type, path):
     """``cls`` built from the dict ``meta[key]``; :class:`nn.CheckpointError`
     names the file and the key when the dict does not fit its fields."""
@@ -441,7 +450,7 @@ def _trainer_for(meta: dict, config, path) -> Trainer:
     if _entry(meta, "variant", str, path) != config.variant:
         raise nn.CheckpointError(
             f"variant mismatch: checkpoint {meta['variant']} vs config {config.variant}")
-    n, cursor = _entry(meta, "replay.size", int, path), _entry(meta, "replay.cursor", int, path)
+    n, cursor = _count(meta, "replay.size", int, path), _count(meta, "replay.cursor", int, path)
     # Until a ring fills, its cursor equals its size. Once it has filled, a
     # slot's next observation is the next slot's and the next push overwrites
     # slot ``cursor``, so only a ring of its own size reads it.
@@ -463,12 +472,13 @@ def _trainer_for(meta: dict, config, path) -> Trainer:
 def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     """Rebuild a trainer from a checkpoint. Structural mismatches against the
     supplied config raise :class:`nn.CheckpointError` before the trainer is
-    created; a missing or mistyped metadata entry raises it too, naming the
-    key. Every array of :func:`checkpoint_arrays` is read straight into the
-    new trainer's own, so the replay is held once. With ``out_dir``, the
-    run's logs there keep their header and the checkpoint's
-    ``episodes_received`` rows and are appended to, after every check; a log
-    with fewer rows raises :class:`nn.CheckpointError` before any is written."""
+    created; a missing or mistyped metadata entry, or a negative counter,
+    raises it too, naming the key. Every array of :func:`checkpoint_arrays`
+    is read straight into the new trainer's own, so the replay is held once.
+    With ``out_dir``, the run's logs there keep their header and the
+    checkpoint's ``episodes_received`` rows and are appended to, after every
+    check; a log with fewer rows raises :class:`nn.CheckpointError` before
+    any is written."""
     trainer = None
 
     def destinations(meta: dict) -> dict[str, np.ndarray]:
@@ -488,7 +498,7 @@ def restore_checkpoint(path, config, out_dir=None) -> Trainer:
     for key, attr in COUNTERS.items():
         owner, _, name = attr.rpartition(".")
         obj = operator.attrgetter(owner)(trainer) if owner else trainer
-        setattr(obj, name, _entry(meta, key, type(getattr(obj, name)), path))
+        setattr(obj, name, _count(meta, key, type(getattr(obj, name)), path))
     try:
         trainer.replay.rebuild()  # the tree above the leaves read, each end's final row
     except ValueError as exc:

@@ -599,6 +599,9 @@ def test_structural_mismatch_rejected(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("robot", None), ("seed", "1"), ("replay.size", 1.5), ("adam", None),
     ("pending_updates", 3), ("master_rng", "PCG64"), ("worker0_rng", []),
+    # a negative counter, checked before any destination is built or log opened
+    ("replay.size", -3), ("replay.cursor", -3), ("episodes_received", -1),
+    ("pending_updates", -0.5),
     # a callable value rewrites the saved entry
     pytest.param("robot", lambda robot: {**robot, "wheels": 4}, id="robot-unknown_field"),
     pytest.param("dolly", lambda dolly: {**dolly, "wheels": 4}, id="dolly-unknown_field"),

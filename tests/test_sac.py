@@ -484,10 +484,106 @@ def test_pair_waits_for_the_helper_and_raises_q1s_exception_first():
     assert critics.both(1, lambda: 1, lambda: threading.get_ident()) == (1, threading.get_ident())
 
 
+def test_pairs_from_several_threads_wait_their_turn_at_the_one_helper():
+    # three threads, more than a 2-core host has cores, update a desk learner
+    # each at once, switching often: their q2 jobs queue for the one helper, and
+    # each learner ends with the in-turn reference's bits
+    seeds = (81, 82, 83)
+    learners, references = [desk_learner(s) for s in seeds], [desk_learner(s) for s in seeds]
+    batches = [[desk_batch(np.random.default_rng(10 * s + k)) for k in range(2)] for s in seeds]
+    start = threading.Barrier(len(seeds))
+
+    def train(i):
+        start.wait()
+        rng = np.random.default_rng(seeds[i])
+        for batch in batches[i]:
+            learners[i].update(*batch, rng)
+
+    threads = [threading.Thread(target=train, args=(i,)) for i in range(len(seeds))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for i, reference in enumerate(references):
+        rng = np.random.default_rng(seeds[i])
+        for batch in batches[i]:
+            sac_update_reference(reference, *batch, rng)
+        assert _learner_state(learners[i]) == _learner_state(reference)
+    assert [t.name for t in threading.enumerate()].count("docknav-critic") == PAIRED
+
+
 def run_python(code: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def test_interrupted_pair_leaves_the_one_helper_to_finish_its_job():
+    # a KeyboardInterrupt while a pair waits for its answer: the helper
+    # finishes the interrupted job, and the next pair's job queues behind it
+    # on the same helper. In a subprocess, so the signal cannot reach pytest.
+    done = run_python("""
+        import os, signal, threading, time
+        from docknav.sac import _paired
+
+        spans = {}
+
+        def job(name, seconds):
+            start = time.monotonic()
+            time.sleep(seconds)
+            spans[name] = start, time.monotonic()
+
+        threading.Timer(0.2, os.kill, (os.getpid(), signal.SIGINT)).start()
+        try:
+            _paired(lambda: None, lambda: job("interrupted", 1.0))
+            raise AssertionError("the pair was not interrupted")
+        except KeyboardInterrupt:
+            assert "interrupted" not in spans  # the wait was cut short
+        _paired(lambda: None, lambda: job("next", 0.0))
+        deadline = time.monotonic() + 10
+        while len(spans) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        helpers = [t.name for t in threading.enumerate()].count("docknav-critic")
+        print(helpers, spans["next"][0] >= spans["interrupted"][1])
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "True"]  # one helper; the jobs did not overlap
+
+
+def test_forked_child_pairs_on_a_helper_of_its_own():
+    # a child forked after the parent paired inherits the parent's job queue
+    # but not its helper thread; it starts its own, and its desk update has the
+    # in-turn reference's bits. A child that waited on the parent's queue
+    # would hang until its alarm.
+    done = run_python(f"""
+        import os, signal, sys
+        import numpy as np
+        sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+        from _oracles import sac_update_reference
+        from test_sac import _learner_state, desk_batch, desk_learner, helper_alive
+        from docknav.sac import _paired
+
+        _paired(lambda: None, lambda: None)
+        learner, reference = desk_learner(71), desk_learner(71)
+        batch = desk_batch(np.random.default_rng(72))
+        pid = os.fork()
+        if pid == 0:
+            signal.alarm(30)
+            learner.update(*batch, np.random.default_rng(73))
+            sac_update_reference(reference, *batch, np.random.default_rng(73))
+            print(_learner_state(learner) == _learner_state(reference), helper_alive(),
+                  flush=True)
+            os._exit(0)
+        print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    """)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", str(PAIRED), "0"]
 
 
 def test_no_thread_at_import_toy_size_grid_eval_or_one_cpu():
