@@ -42,6 +42,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval_grid(args) -> int:
+    if args.trajectories < 0:
+        raise ValueError(f"--trajectories must be at least 0, got {args.trajectories}")
     cfg = _load_config(args)
     out = Path(args.out)
     actor = orchestrator.actor_from_checkpoint(args.checkpoint, dtype=np.dtype(cfg.dtype))

@@ -34,7 +34,9 @@ class GridEvalConfig:
     ``RunConfig.to_grid_eval_config``. ``repeats`` episodes run per valid
     cell; they are bit-identical replicas, since the world has no randomness
     and the policy is deterministic (``docknav eval-grid`` acts with the mean
-    action)."""
+    action). Each repeat resets the cell's world, which then replays the
+    previous repeat's steps while the policy's commands match them, instead
+    of simulating them (see :class:`world.World`)."""
 
     grid_extent: float
     grid_cell: float

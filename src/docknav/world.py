@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -36,6 +37,10 @@ GOAL_REWARD = 10.0
 HISTORY_LEN = 4  # stacked frames / actions / rewards
 DEFAULT_STEP_LIMIT = 500
 TASK_RETRY_CAP = 100  # scene draws sample_task tries before it gives up
+
+# the bits of a clamped (v, omega): a step replays only a command of equal
+# bits, so -0.0, which the observation keeps, does not replay a 0.0 step
+_command_bits = struct.Struct("2d").pack
 
 
 class SimulationError(RuntimeError):
@@ -303,7 +308,19 @@ class World:
     Stepping after termination raises :class:`SimulationError`. The
     observation is the world's only history: each step shifts the previous
     one's frame, action and reward blocks by one entry (see
-    :func:`observation_slices`).
+    :func:`observation_slices`). Every observation handed out is read-only.
+
+    Record and replay: the world keeps the steps of its current episode,
+    each as its command's bits, pose, :class:`StepOutcome` and end. After a
+    ``reset()``, a step whose clamped command has the bits of the kept step
+    at the same ``t`` is replayed from it instead of simulated; from the
+    first step that differs, the episode is simulated, and the kept steps
+    past it are dropped. Since the world is deterministic, a replayed step
+    is the step a simulation would give, bit for bit. This makes the
+    repeats of a grid cell under a deterministic policy cheap. The memory is
+    at most one episode of steps; their observations are the arrays the
+    steps handed out. The state must change only through ``step()`` and
+    ``reset()``.
     """
 
     def __init__(
@@ -330,6 +347,8 @@ class World:
             start_observation = start_observations([config], self.robot, self.dolly, self.dtype)[0]
         self._start_obs = start_observation.view()  # every reset hands out this array
         self._start_obs.flags.writeable = False
+        # (command bits, pose, outcome, terminal) of each step at t = index
+        self._steps: list[tuple[bytes, Pose, StepOutcome, bool]] = []
         self.reset()
 
     # -- static scene -------------------------------------------------
@@ -357,6 +376,9 @@ class World:
     # -- episode lifecycle --------------------------------------------
 
     def reset(self) -> np.ndarray:
+        """Start the episode again and return the t=0 observation. The steps
+        kept so far, at most one episode's, of this episode or of the one it
+        ended, are replayed by ``step()`` while their commands repeat."""
         self.pose = self.config.robot_start
         self.t = 0
         self.terminal = False
@@ -367,6 +389,9 @@ class World:
         return self._obs
 
     def step(self, action) -> StepOutcome:
+        """Advance one command, clamped to [-1, 1]. Replays the kept step at
+        this ``t`` when the command's bits match it and every earlier step of
+        this episode was replayed; otherwise simulates and keeps the step."""
         if self.terminal:
             raise SimulationError("step() called on a terminal episode")
         v, omega = float(action[0]), float(action[1])
@@ -374,6 +399,20 @@ class World:
             raise SimulationError(f"non-finite action ({v}, {omega})")
         v = min(max(v, -1.0), 1.0)
         omega = min(max(omega, -1.0), 1.0)
+        command = _command_bits(v, omega)
+
+        # steps[:t] are this episode's; past t they are of an episode that
+        # shared its commands so far
+        steps = self._steps
+        if self.t < len(steps):
+            if steps[self.t][0] == command:
+                _, self.pose, out, self.terminal = steps[self.t]
+                self.t += 1
+                self._obs = out.observation
+                if self.record_trajectory:
+                    self._trajectory.append(self._traj_record(v, omega, out.reward, out.flags))
+                return out
+            del steps[self.t:]
 
         self.pose = integrate_unicycle(self.pose, v, omega)
         self.t += 1
@@ -395,10 +434,13 @@ class World:
         obs[self._newest_action] = v
         obs[self._newest_action + 1] = omega
         obs[self._newest_reward] = reward
+        obs.flags.writeable = False  # a kept step's observation is replayed as it is
         self._obs = obs
         if self.record_trajectory:
             self._trajectory.append(self._traj_record(v, omega, reward, flags))
-        return StepOutcome(obs, reward, flags)
+        out = StepOutcome(obs, reward, flags)
+        steps.append((command, self.pose, out, self.terminal))
+        return out
 
     def _goal_reached(self) -> bool:
         d = math.hypot(self.pose.x - self.config.dolly_pose.x, self.pose.y - self.config.dolly_pose.y)
@@ -449,7 +491,7 @@ class World:
         return self._fan.split(*self._cast())[1]
 
     def observation(self) -> np.ndarray:
-        """Current flat observation; the t=0 one is read-only."""
+        """Current flat observation, read-only."""
         return self._obs
 
     # -- trajectory export ----------------------------------------------

@@ -107,6 +107,16 @@ def test_missing_checkpoint_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_eval_grid_rejects_negative_trajectories(tmp_path, capsys):
+    # rejected before the checkpoint, which does not exist, is read
+    out = tmp_path / "g"
+    rc = cli.main(["eval-grid", "--checkpoint", str(tmp_path / "none.ckpt"),
+                   "--out", str(out), "--trajectories", "-5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --trajectories must be at least 0, got -5\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("meta, arrays, message", [
     ({"note": 1}, {"w": np.zeros(3)}, "checkpoint metadata has no list 'actor_layers'"),
     (None, {"w": np.zeros(3)}, "checkpoint metadata has no list 'actor_layers'"),

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from docknav import reporting
+from docknav import geometry, reporting
 from docknav.config import RunConfig
 from docknav.grid_eval import GridEvalConfig, run_grid_eval
-from docknav.world import RobotSpec
+from docknav.sac import Actor
+from docknav.world import RobotSpec, World, observation_dim
 
 TINY_ROBOT = RobotSpec(lidar_beams_per_sensor=8, semantic_rays=4)
 
@@ -146,6 +147,65 @@ def test_outputs_schema_and_metadata(tmp_path):
     assert len(trajs) == 2
     first = json.loads(trajs[0].read_text().splitlines()[0])
     assert first["type"] == "scene"
+
+
+# -- repeats replay ---------------------------------------------------------------
+
+
+class FreshWorldPerRepeat(World):
+    """A world that starts each repeat as a newly built one, keeping no step."""
+
+    def reset(self):
+        vars(self).update(vars(World(self.config, self.robot, self.dolly, self.step_limit,
+                                     self.dtype, self.record_trajectory)))
+        return self.observation()
+
+
+def test_replayed_repeats_equal_fresh_worlds_byte_for_byte(tmp_path, monkeypatch):
+    # an untrained desk actor acting with its mean: the grid's files, the
+    # trajectories among them, and every policy input and output are those
+    # of the same grid with a newly built world per repeat
+    actor = Actor(observation_dim(), 2, (128, 128), np.random.default_rng(5), dtype=np.float32)
+    cfg = small_grid(orientations_deg=(0.0, 90.0, 180.0), repeats=3)
+    runs = {}
+    for name in ("replayed", "fresh"):
+        if name == "fresh":
+            monkeypatch.setattr("docknav.grid_eval.world.World", FreshWorldPerRepeat)
+        calls = []
+
+        def policy(obs):
+            action = actor.act(obs, mode="mean")[0]
+            calls.append(obs.tobytes() + action.tobytes())
+            return action
+
+        out = tmp_path / name
+        run_grid_eval(policy, cfg, out_dir=out, step_limit=40, dtype=np.float32,
+                      trajectory_limit=100)
+        runs[name] = calls, {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(runs["replayed"][1]) == 3 + 3 + 9 * 3  # csvs and metadata, heatmaps, trajectories
+    assert runs["replayed"] == runs["fresh"]
+
+
+def test_repeats_cast_no_more_rays(monkeypatch):
+    # a repeat under a deterministic policy replays: three repeats per cell
+    # cast as often as one
+    calls = []
+    cast = geometry.cast_rays
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cast(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "cast_rays", counted)
+    counts = []
+    for repeats in (1, 3):
+        calls.clear()
+        result = run_grid_eval(straight_policy, small_grid(repeats=repeats), robot=TINY_ROBOT,
+                               step_limit=60)
+        assert result.episodes_executed == small_grid(repeats=repeats).total_episodes
+        counts.append(len(calls))
+    assert counts[0] > small_grid(repeats=1).total_episodes
+    assert counts[0] == counts[1]
 
 
 # -- reporting ------------------------------------------------------------------

@@ -545,6 +545,80 @@ def test_ray_fan_batch_equals_reference():
     assert np.array_equal(np.stack([dx, dy], axis=-1), dirs)
 
 
+# -- record and replay -----------------------------------------------------
+
+
+def test_step_observations_are_read_only():
+    w = World(empty_room())
+    out = w.step((0.5, 0.1))
+    with pytest.raises(ValueError):
+        out.observation[0] = 1.0
+    assert w.observation() is out.observation
+
+
+def drive(w, actions):
+    """Step ``w`` with ``actions`` until they run out or the episode ends:
+    every step's observation bytes, reward, flags, end and pose."""
+    steps = []
+    for a in actions:
+        if w.terminal:
+            break
+        out = w.step(a)
+        steps.append((out.observation.tobytes(), out.reward, out.flags, w.terminal, w.pose))
+    return steps
+
+
+def replay_scene():
+    return config_tasks("desk_nav_obstacles.ini", 1, seed=4)[0].config
+
+
+def slow_actions(seed, n=30):
+    # slow commands stay clear of walls and the dolly for the whole episode
+    return [tuple(a) for a in np.random.default_rng(seed).uniform(-0.3, 0.3, size=(n, 2))]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("swap", ["other_action", "negative_zero"])
+def test_replay_diverging_at_step_k_equals_a_fresh_world(tmp_path, dtype, swap):
+    # repeat 2 follows repeat 1 for k steps, then its commands differ: every
+    # step, and the trajectory, equal a fresh world's under the same commands
+    k = 12
+    first = slow_actions(41)
+    first[k] = (0.0, first[k][1])
+    second = list(first)
+    second[k] = (-0.0, first[k][1]) if swap == "negative_zero" else (0.2, -0.25)
+    second[k + 1:] = slow_actions(42)[k + 1:]
+    w = World(replay_scene(), dtype=dtype, step_limit=30, record_trajectory=True)
+    recorded = drive(w, first)
+    assert len(recorded) == 30 and not any(s[2].collision_other or s[2].goal for s in recorded)
+    w.reset()
+    replayed = drive(w, second)
+    fresh = World(replay_scene(), dtype=dtype, step_limit=30, record_trajectory=True)
+    assert replayed == drive(fresh, second)
+    assert replayed[:k] == recorded[:k] and replayed[k][0] != recorded[k][0]
+    w.save_trajectory(tmp_path / "replayed.jsonl")
+    fresh.save_trajectory(tmp_path / "fresh.jsonl")
+    assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "fresh.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("prefix", [0, 3, 5])
+def test_reset_mid_episode_then_other_commands_equals_a_fresh_world(prefix):
+    # an episode cut at t=5 by a reset; the next follows it for ``prefix``
+    # steps and then goes its own way, past where the cut one stopped
+    first = slow_actions(43)
+    w = World(replay_scene(), step_limit=30)
+    drive(w, first[:5])
+    w.reset()
+    second = first[:prefix] + slow_actions(44)[prefix:]
+    assert drive(w, second) == drive(World(replay_scene(), step_limit=30), second)
+    # the steps kept now are the second episode's: a third that follows the
+    # cut one to t=5, then the second from where it left the cut one, must
+    # not replay a step of the second at a t it was not taken at
+    w.reset()
+    third = first[:5] + second[prefix:]
+    assert drive(w, third) == drive(World(replay_scene(), step_limit=30), third)
+
+
 # -- task sampling ---------------------------------------------------------
 
 
