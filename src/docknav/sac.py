@@ -19,7 +19,11 @@ reference to a job once it has answered it. Measured on 2 cores, one BLAS
 thread, at desk sizes: a desk update took 10.1 ms paired against 12.4 ms in
 turn (faster in 20 of 20 alternating pairs) and 16-episode desk trainers
 19% less time (10 of 12); a one-thread ``ThreadPoolExecutor`` in the
-helper's place made the update 2.7% slower (slower in 16 of 20).
+helper's place made the update 2.7% slower (slower in 16 of 20). Run again
+without the helper, 16-episode desk trainers took as long (2.20 s in turn
+against 2.27 s paired, paired faster in 8 of 16) and the benchmark's raw
+episodes/s did not move, but its host-normalised ``train_sync`` rate read
+16% lower in turn (lower in 10 of 10 alternating pairs), so the helper stays.
 """
 
 from __future__ import annotations
